@@ -17,9 +17,8 @@ from .census import (CensusParams, CensusResult, gamma_gt_one_box,
                      run_census, sample_triples, wilson_interval)
 from .classify import (CertificationResult, CertificationStatus, HnpSamples,
                        PipelineResult, Verdict, VerdictKind,
-                       certify_unique_secret, classify,
-                       count_secrets_by_enumeration, hnp_reduce,
-                       homogeneous_dichotomy, run_pipeline)
+                       certify_unique_secret, count_secrets_by_enumeration,
+                       hnp_reduce, homogeneous_dichotomy, run_pipeline)
 from .exact import QuadraticNumber, SqrtRat
 from .intervals import RealInterval, precision_bits
 from .lattice import (AuxiliaryLine, DegenerateLineSpace, LineNotFound,
@@ -42,7 +41,7 @@ __all__ = [
     "wilson_interval",
     "CertificationResult", "CertificationStatus", "HnpSamples",
     "PipelineResult", "Verdict", "VerdictKind", "certify_unique_secret",
-    "classify", "count_secrets_by_enumeration", "hnp_reduce",
+    "count_secrets_by_enumeration", "hnp_reduce",
     "homogeneous_dichotomy", "run_pipeline",
     "QuadraticNumber", "SqrtRat", "RealInterval", "precision_bits",
     "AuxiliaryLine", "DegenerateLineSpace", "LineNotFound",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exact import SqrtRat, padic_valuation, prime_factors
+from .exact import SqrtRat, frac_token, padic_valuation, prime_factors
 from .lattice import AuxiliaryLine
 from .model import CongruenceInstance, bound_token, parse_bound
 
@@ -64,7 +64,7 @@ class PAdicDisk:
     def to_json(self) -> dict:
         if self.is_empty:
             return {"p": self.prime, "empty": True}
-        return {"p": self.prime, "center": _frac_token(self.center),
+        return {"p": self.prime, "center": frac_token(self.center),
                 "radius_exp": self.radius_exp}
 
     @classmethod
@@ -174,18 +174,10 @@ class ArchLens:
             return "empty"
         return "disk" if self.center is None else "lens"
 
-    def real_trace(self) -> Optional[tuple]:
-        """Endpoints of the intersection with the real line (exact), or None."""
-        if self.empty:
-            return None
-        if self.center is None:
-            return (-self.Y, self.Y)
-        return None  # callers use the census endpoints for lens traces
-
     def to_json(self) -> dict:
         out = {"kind": self.kind, "Y": bound_token(self.Y)}
         if self.kind == "lens":
-            out["center"] = _frac_token(self.center)
+            out["center"] = frac_token(self.center)
             out["rho"] = bound_token(self.rho)
         return out
 
@@ -255,7 +247,3 @@ def assemble(instance: CongruenceInstance, line: AuxiliaryLine) -> AdelicSet:
         finite=tuple(local_set_at(instance, line, p) for p in primes),
         arch=arch_set(instance, line),
     )
-
-
-def _frac_token(fr: Fraction) -> str:
-    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"

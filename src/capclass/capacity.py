@@ -8,7 +8,6 @@ discretization serves as an independent numerical cross-check.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .adelic import AdelicSet, ArchLens, PAdicDisk
-from .exact import QuadraticNumber, SqrtRat, compare_sqrt_diff, compare_sqrt_sum
+from .exact import (QuadraticNumber, SqrtRat, compare_sqrt_diff,
+                    compare_sqrt_sum, frac_token)
 from .intervals import (RealInterval, ZERO_INTERVAL, iv_context,
                         iv_from_fraction, precision_bits)
 
@@ -27,8 +27,6 @@ RadiusLike = Union[SqrtRat, Fraction, int, float, str]
 def _as_radius(x: RadiusLike) -> SqrtRat:
     if isinstance(x, SqrtRat):
         return x
-    if isinstance(x, float):
-        return SqrtRat.of_rational(Fraction(x))  # exact binary value
     return SqrtRat.of_rational(Fraction(x))
 
 
@@ -78,44 +76,6 @@ def normalize_lens(lens: ArchLens) -> NormalizedLens:
         r=lens.Y / SqrtRat.of_rational(xi),
         s=lens.rho / SqrtRat.of_rational(xi),
     )
-
-
-@dataclass(frozen=True)
-class LensGeometry:
-    """Float diagnostics of a genuine lens: the upper intersection point u,
-    the interior angle alpha at u, and the branch value zeta (|zeta| = 1)."""
-
-    u: complex
-    u_bar: complex
-    alpha: float
-    zeta: complex
-
-    @property
-    def exponent(self) -> float:
-        return math.pi / (2.0 * math.pi - self.alpha)
-
-
-def lens_geometry(r: float, s: float) -> LensGeometry:
-    """Independent float evaluation of the defining quantities; the capacity
-    decision path below never uses these values."""
-    x0 = (1.0 + r * r - s * s) / 2.0
-    y0sq = r * r - x0 * x0
-    if y0sq <= 0.0:
-        raise ValueError("disks do not intersect transversally")
-    y0 = math.sqrt(y0sq)
-    u = complex(x0, y0)
-    cos_alpha = (1.0 - r * r - s * s) / (2.0 * r * s)
-    alpha = math.acos(max(-1.0, min(1.0, cos_alpha)))
-    m = math.pi / (2.0 * math.pi - alpha)
-    q = (u.conjugate() - r) / (u - r)
-    arg = cmath.phase(q) % (2.0 * math.pi)  # log branch with Im in [0, 2*pi)
-    zeta = cmath.exp(m * complex(math.log(abs(q)), arg))
-    return LensGeometry(u=u, u_bar=u.conjugate(), alpha=alpha, zeta=zeta)
-
-
-def capacity_from_geometry(geom: LensGeometry) -> float:
-    m = geom.exponent
-    return m * abs(geom.u_bar - geom.u) / (2.0 * geom.zeta.imag)
 
 
 def lens_value(r: RadiusLike, s: RadiusLike) -> tuple[RealInterval, str]:
@@ -286,7 +246,7 @@ class CapacityReport:
 
     def to_json(self) -> dict:
         return {
-            "finite_product": _frac_str(self.finite_product),
+            "finite_product": frac_token(self.finite_product),
             "arch": self.arch.to_json(),
             "arch_case": self.arch_case,
             "gamma": self.gamma.to_json(),
@@ -391,7 +351,3 @@ def _quadratic_interval(q: QuadraticNumber) -> RealInterval:
     val = iv_from_fraction(q.a) + iv_from_fraction(q.b) * iv.sqrt(
         iv_from_fraction(q.m))
     return RealInterval.from_iv(val)
-
-
-def _frac_str(fr: Fraction) -> str:
-    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"

@@ -25,9 +25,9 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from .adelic import assemble
 from .capacity import (CapacityReport, CensusBound, census_capacity_bound,
-                       global_capacity, _frac_str)
-from .exact import (QuadraticNumber, SqrtRat, ceil_sqrt, floor_sqrt, invmod,
-                    is_prime)
+                       global_capacity)
+from .exact import (QuadraticNumber, SqrtRat, ceil_sqrt, floor_sqrt,
+                    frac_token, invmod, is_prime)
 from .lattice import (AuxiliaryLine, DegenerateLineSpace, LineNotFound,
                       find_auxiliary_line)
 from .model import CongruenceInstance
@@ -83,8 +83,8 @@ class CensusParams:
         return SqrtRat(self.c ** 2 * self.p)
 
     def to_json(self) -> dict:
-        return {"p": self.p, "c": _frac_str(self.c), "w": _frac_str(self.w),
-                "z": _frac_str(self.z), "sample_size": self.sample_size,
+        return {"p": self.p, "c": frac_token(self.c), "w": frac_token(self.w),
+                "z": frac_token(self.z), "sample_size": self.sample_size,
                 "seed": self.seed}
 
 
@@ -252,7 +252,7 @@ def wilson_interval(successes: int, trials: int,
 
 
 def _quadratic_json(q: QuadraticNumber) -> dict:
-    return {"a": _frac_str(q.a), "b": _frac_str(q.b), "m": _frac_str(q.m)}
+    return {"a": frac_token(q.a), "b": frac_token(q.b), "m": frac_token(q.m)}
 
 
 @dataclass(frozen=True)
@@ -313,22 +313,20 @@ class CensusResult:
         }
         for outcome in ("gamma_gt_1", "gamma_zero", "other"):
             lo, hi = self.wilson(outcome)
-            out[f"fraction_{outcome}"] = _frac_str(self.fraction(outcome))
+            out[f"fraction_{outcome}"] = frac_token(self.fraction(outcome))
             out[f"wilson_{outcome}"] = [f"{lo:.9f}", f"{hi:.9f}"]
         if include_records:
             out["records"] = [r.to_json() for r in self.records]
         return out
 
 
-def run_census(params: CensusParams, box: Optional[TripleBox] = None,
-               threads: int = 1) -> CensusResult:
+def run_census(params: CensusParams,
+               box: Optional[TripleBox] = None) -> CensusResult:
     """Sample triples, compute the exact capacity bound and the full adelic
-    capacity for each, and tally outcomes.
+    capacity for each, and tally outcomes in emission order.
 
     The full pipeline never searches the lattice here: the triple *is* the
-    line, so the adelic set is assembled from it directly. With threads > 1
-    the per-triple work runs on a pool; the reduction always walks records in
-    emission order, so tallies and reports are identical either way.
+    line, so the adelic set is assembled from it directly.
     """
 
     def evaluate(triple: Tuple[int, int, int]) -> CensusRecord:
@@ -343,13 +341,7 @@ def run_census(params: CensusParams, box: Optional[TripleBox] = None,
                             report=report,
                             outcome=_classify_record(bound, report))
 
-    triples = list(sample_triples(params, box))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = tuple(pool.map(evaluate, triples))
-    else:
-        records = tuple(evaluate(tr) for tr in triples)
+    records = tuple(evaluate(tr) for tr in sample_triples(params, box))
 
     counts = {"gamma_gt_1": 0, "gamma_zero": 0, "other": 0}
     image: Dict[Tuple[int, int], Tuple[int, int, int]] = {}

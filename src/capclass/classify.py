@@ -13,7 +13,7 @@ from .capacity import CapacityReport, global_capacity
 from .exact import SqrtRat, invmod
 from .intervals import RealInterval
 from .lattice import (AuxiliaryLine, DegenerateLineSpace, LineNotFound,
-                      find_auxiliary_line)
+                      SearchSpaceTooLarge, find_auxiliary_line)
 from .model import CongruenceInstance, bound_token
 
 
@@ -175,7 +175,7 @@ def certify_unique_secret(samples: HnpSamples) -> CertificationResult:
     _, homogeneous = hnp_reduce(samples)
     try:
         result = run_pipeline(homogeneous)
-    except (LineNotFound, DegenerateLineSpace) as exc:
+    except (LineNotFound, DegenerateLineSpace, SearchSpaceTooLarge) as exc:
         return CertificationResult(
             status=CertificationStatus.INCONCLUSIVE,
             reason=f"no auxiliary line: {exc}",

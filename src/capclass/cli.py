@@ -24,16 +24,12 @@ from .census import (CensusParams, gamma_gt_one_box, gamma_zero_box,
 from .classify import (CertificationStatus, VerdictKind, HnpSamples,
                        certify_unique_secret, count_secrets_by_enumeration,
                        run_pipeline)
-from .exact import SqrtRat
+from .exact import SqrtRat, frac_token
 from .lattice import DegenerateLineSpace, LineNotFound, SearchSpaceTooLarge
 from .model import (CongruenceInstance, bound_token, feasible,
-                    minkowski_threshold, parse_bound, rational_field)
+                    minkowski_threshold, parse_bound)
 from .rings import RING_ALIASES, RING_Z, ring_by_name
 from .search import BoxTooLarge, enumerate_solutions
-
-
-def _frac_str(fr: Fraction) -> str:
-    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
 
 
 def _dump(obj) -> str:
@@ -68,11 +64,7 @@ def _emit(args, payload: dict, text: str) -> None:
 def _instance_from_args(args) -> CongruenceInstance:
     if getattr(args, "json", None):
         with open(args.json) as fh:
-            obj = json.load(fh)
-        return CongruenceInstance(
-            n=int(obj["n"]), t=int(obj["t"]), a=int(obj["a"]),
-            X=_parse_bound_arg(str(obj["X"]), "X"),
-            Y=_parse_bound_arg(str(obj["Y"]), "Y"))
+            return CongruenceInstance.from_json(json.load(fh))
     missing = [k for k in ("n", "t", "a", "X", "Y")
                if getattr(args, k) is None]
     if missing:
@@ -84,9 +76,9 @@ def _instance_from_args(args) -> CongruenceInstance:
                               Y=_parse_bound_arg(args.Y, "Y"))
 
 
-def _oracle_block(instance, line, threads: int) -> dict:
+def _oracle_block(instance, line) -> dict:
     try:
-        sols = enumerate_solutions(instance, RING_Z, threads=threads)
+        sols = enumerate_solutions(instance, RING_Z)
     except BoxTooLarge as exc:
         return {"skipped": str(exc)}
     vanishes = all(line.evaluate(x[0], y[0]) == 0 for x, y in sols)
@@ -104,25 +96,25 @@ def cmd_analyze(args) -> int:
     try:
         result = run_pipeline(instance)
     except (LineNotFound, DegenerateLineSpace, SearchSpaceTooLarge) as exc:
-        ok, margin = feasible(instance)
+        ok, margin = feasible(instance.n, instance.X, instance.Y)
         payload = {
             "error": type(exc).__name__,
             "message": str(exc),
             "guidance": {
                 "box_feasible": ok,
-                "threshold": _frac_str(minkowski_threshold(instance.field)),
-                "product_XY_squared": _frac_str(instance.X.sq
-                                                * instance.Y.sq),
-                "margin": _frac_str(margin),
+                "threshold": frac_token(minkowski_threshold(instance.n)),
+                "product_XY_squared": frac_token(instance.X.sq
+                                                 * instance.Y.sq),
+                "margin": frac_token(margin),
                 "hint": "an admissible line is only guaranteed when "
-                        "(X*Y)^degree is below the threshold; shrink the box",
+                        "X*Y is below the threshold; shrink the box",
             },
         }
         _emit(args, payload, f"error: {exc}\n")
         return 1
     payload = result.to_json()
     if args.check_oracle:
-        payload["oracle"] = _oracle_block(instance, result.line, args.threads)
+        payload["oracle"] = _oracle_block(instance, result.line)
     verdict = result.verdict
     lines = [f"instance: x + {instance.t}*y + {instance.a} = 0 mod {instance.n},"
              f" |x| <= {bound_token(instance.X)}, |y| <= {bound_token(instance.Y)}",
@@ -183,12 +175,12 @@ def cmd_census(args) -> int:
         box = gamma_gt_one_box(params)
     elif args.box == "zero":
         box = gamma_zero_box(params)
-    result = run_census(params, box=box, threads=args.threads)
+    result = run_census(params, box=box)
     payload = result.to_json(include_records=not args.no_records)
     if box is not None:
         payload["box"] = box.to_json()
-    rows = [f"census p={params.p} c={_frac_str(params.c)} "
-            f"w={_frac_str(params.w)} z={_frac_str(params.z)} "
+    rows = [f"census p={params.p} c={frac_token(params.c)} "
+            f"w={frac_token(params.w)} z={frac_token(params.z)} "
             f"samples={result.sample_size} seed={params.seed} box={args.box}"]
     for outcome in ("gamma_gt_1", "gamma_zero", "other"):
         lo, hi = result.wilson(outcome)
@@ -207,7 +199,7 @@ def cmd_census(args) -> int:
 def cmd_search(args) -> int:
     instance = _instance_from_args(args)
     ring = ring_by_name(args.ring)
-    sols = enumerate_solutions(instance, ring, threads=args.threads)
+    sols = enumerate_solutions(instance, ring)
     for x, y in sols:
         sys.stdout.write(json.dumps({"x": list(x), "y": list(y)},
                                     sort_keys=True) + "\n")
@@ -249,23 +241,24 @@ def cmd_capacity(args) -> int:
 def cmd_bound(args) -> int:
     X = _parse_bound_arg(args.X, "X")
     Y = _parse_bound_arg(args.Y, "Y")
-    fld = rational_field(args.n)
-    threshold = minkowski_threshold(fld)
-    product_sq = X.sq * Y.sq
-    ok = SqrtRat(product_sq) < threshold
+    for flag, bound in (("--X", X), ("--Y", Y)):
+        if not bound > 0:
+            raise ValueError(f"{flag} must be positive")
+    threshold = minkowski_threshold(args.n)
+    ok, _ = feasible(args.n, X, Y)
     payload = {
         "n": args.n,
         "X": bound_token(X),
         "Y": bound_token(Y),
-        "threshold": _frac_str(threshold),
-        "product_XY_squared": _frac_str(product_sq),
+        "threshold": frac_token(threshold),
+        "product_XY_squared": frac_token(X.sq * Y.sq),
         "feasible": ok,
         "optimal_box": [bound_token(SqrtRat(Fraction(1, 9) / X.sq)),
                         bound_token(SqrtRat(Fraction(1, 9) / Y.sq)),
                         "1/3"],
     }
     text = (f"n={args.n}: X*Y {'<' if ok else '>='} n/27 "
-            f"(threshold {_frac_str(threshold)}); "
+            f"(threshold {frac_token(threshold)}); "
             f"admissible line {'guaranteed' if ok else 'not guaranteed'}\n")
     _emit(args, payload, text)
     return 0
@@ -294,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     box_flags.add_argument("--a", type=int, help="constant term")
     box_flags.add_argument("--X", help="bound on |x|: rational or sqrt(q)")
     box_flags.add_argument("--Y", help="bound on |y|: rational or sqrt(q)")
-    box_flags.add_argument("--threads", type=int, default=1)
 
     top = _Parser(prog="capclass",
                   description="capacity classifier for two-variable linear "
@@ -327,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", choices=("full", "gt1", "zero"), default="full",
                    help="sampling window: full set, capacity>1 corner, "
                         "capacity=0 corner")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--no-records", action="store_true",
                    help="omit per-triple records from the output")
     p.set_defaults(func=cmd_census)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, Union
+from typing import Union
 
 RationalLike = Union[int, Fraction]
 
@@ -62,6 +62,11 @@ def rational_sqrt_approx(q: Fraction, bits: int = 96) -> Fraction:
     scale = 1 << bits
     n = q.numerator * scale * scale
     return Fraction(isqrt(n // q.denominator), scale)
+
+
+def frac_token(fr: Fraction) -> str:
+    """Exact string form of a rational: 'p' when integral, else 'p/q'."""
+    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
 
 
 def is_rational_square(q: Fraction) -> bool:
@@ -169,9 +174,6 @@ class SqrtRat:
         if self.is_rational():
             return f"SqrtRat({self.as_rational()})"
         return f"sqrt({self.sq})"
-
-    def approx(self, bits: int = 96) -> Fraction:
-        return rational_sqrt_approx(self.sq, bits)
 
 
 def compare_sqrt_sum(a: SqrtRat, b: SqrtRat, c: Fraction) -> int:
@@ -328,11 +330,6 @@ def padic_valuation(x: Fraction, p: int) -> int:
     return v
 
 
-def padic_abs_exp(x: Fraction, p: int) -> int:
-    """Integer k with |x|_p = p**k (x nonzero)."""
-    return -padic_valuation(x, p)
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of |n| by trial division (desk-scale inputs)."""
     n = abs(n)
@@ -390,9 +387,3 @@ def invmod(a: int, n: int) -> int:
         raise ValueError(f"{a} is not invertible mod {n}")
     return pow(a, -1, n)
 
-
-def integer_range_sqrt(lo_sq: Fraction, hi_sq: Fraction) -> Iterator[int]:
-    """Integers k with lo_sq <= k*k <= hi_sq and k >= 0 (helper for range setup)."""
-    k = ceil_sqrt(lo_sq) if lo_sq > 0 else 0
-    top = floor_sqrt(hi_sq)
-    return iter(range(k, top + 1))

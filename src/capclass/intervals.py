@@ -11,10 +11,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import mpmath
 from mpmath.libmp import to_rational
+
+from .exact import frac_token
 
 DEFAULT_PRECISION_BITS = 128
 _ENV_VAR = "CAPCLASS_PRECISION_BITS"
@@ -70,30 +71,11 @@ class RealInterval:
     def from_iv(cls, x) -> "RealInterval":
         return cls(_endpoint_fraction(x.a, upper=False), _endpoint_fraction(x.b, upper=True))
 
-    def to_iv(self):
-        ctx = iv_context()
-        lo = ctx.mpf(self.lo.numerator) / ctx.mpf(self.lo.denominator)
-        hi = ctx.mpf(self.hi.numerator) / ctx.mpf(self.hi.denominator)
-        return ctx.hull(lo, hi) if hasattr(ctx, "hull") else lo + (hi - lo) * ctx.mpf([0, 1])
-
     def scale(self, factor) -> "RealInterval":
         f = Fraction(factor)
         if f >= 0:
             return RealInterval(self.lo * f, self.hi * f)
         return RealInterval(self.hi * f, self.lo * f)
-
-    def __mul__(self, other: "RealInterval") -> "RealInterval":
-        products = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
-        return RealInterval(min(products), max(products))
-
-    def contains(self, value) -> bool:
-        v = Fraction(value)
-        return self.lo <= v <= self.hi
 
     def strictly_below(self, value) -> bool:
         return self.hi < Fraction(value)
@@ -113,22 +95,14 @@ class RealInterval:
         return float(self.mid)
 
     def to_json(self) -> dict:
-        return {"lo": _frac_str(self.lo), "hi": _frac_str(self.hi)}
+        return {"lo": frac_token(self.lo), "hi": frac_token(self.hi)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "RealInterval":
-        return cls(_parse_frac(obj["lo"]), _parse_frac(obj["hi"]))
+        return cls(Fraction(obj["lo"]), Fraction(obj["hi"]))
 
     def __repr__(self):
         return f"[{float(self.lo):.12g}, {float(self.hi):.12g}]"
 
 
 ZERO_INTERVAL = RealInterval(Fraction(0), Fraction(0))
-
-
-def _frac_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 else str(fr.numerator)
-
-
-def _parse_frac(s: Union[str, int]) -> Fraction:
-    return Fraction(s)

@@ -1,65 +1,17 @@
 """Problem instances and the Minkowski-style feasibility gate.
 
-An instance fixes a congruence x + t*y + a = 0 (mod n) together with size
-bounds X, Y at the archimedean place and the invariants of the ambient number
-field. Bounds are exact: rational or square roots of rationals (SqrtRat), so
-the census scale X = Y = c*sqrt(p) needs no floating point.
+An instance fixes a congruence x + t*y + a = 0 (mod n) over the rationals
+together with size bounds X, Y at the archimedean place. Bounds are exact:
+rational or square roots of rationals (SqrtRat), so the census scale
+X = Y = c*sqrt(p) needs no floating point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
-from .exact import SqrtRat, is_rational_square, rational_sqrt_approx
-from .intervals import iv_context, _endpoint_fraction
-
-
-@dataclass(frozen=True)
-class FieldInvariants:
-    """Degree, signature, |discriminant| and ideal norm of the ambient field."""
-
-    degree: int
-    r1: int
-    r2: int
-    abs_disc: int
-    ideal_norm: Fraction
-
-    def __post_init__(self):
-        if self.degree < 1 or self.r1 < 0 or self.r2 < 0:
-            raise ValueError("invalid signature")
-        if self.r1 + 2 * self.r2 != self.degree:
-            raise ValueError("signature does not match degree")
-        if self.abs_disc < 1:
-            raise ValueError("|discriminant| must be >= 1")
-        if self.degree == 1 and self.abs_disc != 1:
-            raise ValueError("degree 1 forces |discriminant| = 1")
-        if self.ideal_norm <= 0:
-            raise ValueError("ideal norm must be positive")
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "r1": self.r1,
-            "r2": self.r2,
-            "abs_disc": str(self.abs_disc),
-            "ideal_norm": _frac_token(self.ideal_norm),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FieldInvariants":
-        return cls(
-            degree=int(obj["degree"]),
-            r1=int(obj["r1"]),
-            r2=int(obj["r2"]),
-            abs_disc=int(obj["abs_disc"]),
-            ideal_norm=Fraction(obj["ideal_norm"]),
-        )
-
-
-def rational_field(ideal_norm) -> FieldInvariants:
-    return FieldInvariants(degree=1, r1=1, r2=0, abs_disc=1,
-                           ideal_norm=Fraction(ideal_norm))
+from .exact import SqrtRat, frac_token, rational_sqrt_approx
 
 
 def _as_bound(value) -> SqrtRat:
@@ -80,7 +32,6 @@ class CongruenceInstance:
     a: int
     X: SqrtRat
     Y: SqrtRat
-    field: FieldInvariants = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.n < 1:
@@ -95,8 +46,6 @@ class CongruenceInstance:
             raise ValueError("X must be positive")
         if not self.Y > Fraction(1, 3):
             raise ValueError("Y must exceed 1/3")
-        if self.field is None:
-            object.__setattr__(self, "field", rational_field(self.n))
 
     def to_json(self) -> dict:
         return {
@@ -105,27 +54,25 @@ class CongruenceInstance:
             "a": str(self.a),
             "X": bound_token(self.X),
             "Y": bound_token(self.Y),
-            "field": self.field.to_json(),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "CongruenceInstance":
-        fld = FieldInvariants.from_json(obj["field"]) if "field" in obj else None
+        """Inverse of to_json; keys other than n, t, a, X, Y are ignored."""
         return cls(
             n=int(obj["n"]),
             t=int(obj["t"]),
             a=int(obj["a"]),
             X=parse_bound(obj["X"]),
             Y=parse_bound(obj["Y"]),
-            field=fld,
         )
 
 
 def bound_token(b: SqrtRat) -> str:
     """Serialize a bound: plain 'p/q' when rational, else 'sqrt(p/q)'."""
     if b.is_rational():
-        return _frac_token(b.as_rational())
-    return f"sqrt({_frac_token(b.sq)})"
+        return frac_token(b.as_rational())
+    return f"sqrt({frac_token(b.sq)})"
 
 
 def parse_bound(token) -> SqrtRat:
@@ -137,61 +84,26 @@ def parse_bound(token) -> SqrtRat:
     return SqrtRat.of_rational(Fraction(s))
 
 
-def _frac_token(fr: Fraction) -> str:
-    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+def minkowski_threshold(n: int) -> Fraction:
+    """The threshold n/27 that X*Y must stay below for an admissible line
+    (Minkowski's bound for the rank-3 line lattice of covolume 1/n)."""
+    return Fraction(n, 27)
 
 
-_PI_GUARD_BITS = 224  # >= 64 decimal digits for the directed pi power
+def feasible(n: int, X: SqrtRat, Y: SqrtRat) -> tuple[bool, Fraction]:
+    """Whether X*Y clears the threshold n/27, plus the margin.
 
-
-def minkowski_threshold(fld: FieldInvariants) -> Fraction:
-    """Safe under-approximation of (pi/2)^(3 r2) * 3^(-3 deg) * |D|^(-3/2) * Norm.
-
-    Exact rational whenever the pi power is trivial (r2 = 0) and |D| is a
-    perfect square; otherwise the transcendental factors are evaluated with
-    directed rounding and the lower endpoint is returned, so a feasibility
-    claim made against this threshold is never optimistic.
+    The margin is n/27 - X*Y, exact when X*Y is rational and rounded toward
+    zero otherwise (conservative both ways).
     """
-    rational_part = fld.ideal_norm / Fraction(3) ** (3 * fld.degree)
-    disc_sq = isqrt(fld.abs_disc)
-    disc_is_square = disc_sq * disc_sq == fld.abs_disc
-    if fld.r2 == 0 and disc_is_square:
-        return rational_part / Fraction(disc_sq) ** 3
-
-    ctx = iv_context()
-    saved = ctx.prec
-    try:
-        ctx.prec = max(saved, _PI_GUARD_BITS)
-        value = ctx.mpf(rational_part.numerator) / ctx.mpf(rational_part.denominator)
-        if fld.r2 > 0:
-            value *= (ctx.pi / 2) ** (3 * fld.r2)
-        if fld.abs_disc != 1:
-            value /= ctx.sqrt(ctx.mpf(fld.abs_disc)) ** 3
-        lower = _endpoint_fraction(value.a, upper=False)
-    finally:
-        ctx.prec = saved
-    if lower <= 0:
-        raise ArithmeticError("threshold under-approximation collapsed to zero")
-    return lower
-
-
-def feasible(instance: CongruenceInstance) -> tuple[bool, Fraction]:
-    """Whether (X*Y)^degree clears the Minkowski threshold, plus the margin.
-
-    The margin is threshold - (X*Y)^degree, exact when the product power is
-    rational and rounded toward zero otherwise (conservative both ways).
-    """
-    if not instance.Y > Fraction(1, 3):
-        raise ValueError("Y must exceed 1/3")
-    threshold = minkowski_threshold(instance.field)
-    power_sq = (instance.X.sq * instance.Y.sq) ** instance.field.degree
-    power = SqrtRat(power_sq)  # equals (X*Y)^degree
-    ok = power < threshold
-    if is_rational_square(power_sq):
-        margin = threshold - power.as_rational()
+    threshold = minkowski_threshold(n)
+    product = X * Y
+    ok = product < threshold
+    if product.is_rational():
+        margin = threshold - product.as_rational()
     else:
         # round the subtrahend up so a positive margin is trustworthy
-        approx = rational_sqrt_approx(power_sq, 128)
+        approx = rational_sqrt_approx(product.sq, 128)
         up = approx + max(approx, Fraction(1)) * Fraction(1, 1 << 100)
         margin = threshold - up
     return ok, margin

@@ -111,19 +111,6 @@ class SearchRing:
                 if Fraction(self.norm((u, v))) <= radius_sq:
                     yield (u, v)
 
-    def abs_float(self, x: Element) -> float:
-        return math.sqrt(self.norm(x))
-
-    def format(self, x: Element) -> str:
-        u, v = x
-        if v == 0:
-            return str(u)
-        theta = {"Z[i]": "i", "Z[sqrt(-2)]": "sqrt(-2)",
-                 "Z[omega]": "omega"}[self.name]
-        if u == 0:
-            return f"{v}*{theta}"
-        return f"{u}{v:+d}*{theta}"
-
 
 def _round_div(a: int, b: int) -> int:
     """Nearest integer to a/b (ties toward +infinity); b > 0."""

@@ -62,31 +62,16 @@ def _congruent_pairs(ring: SearchRing, n: int, t: int, a: int,
 
 
 def enumerate_solutions(instance: CongruenceInstance,
-                        ring: SearchRing = RING_Z,
-                        threads: int = 1) -> List[Tuple[Element, Element]]:
+                        ring: SearchRing = RING_Z) -> List[Tuple[Element, Element]]:
     """Every ring pair (x, y) with x + t*y + a = 0 mod n, |x| <= X, |y| <= Y.
 
-    Deterministic order (sorted tuples) regardless of threads: the box is
-    split by y-slices and the slices merged in order. Raises BoxTooLarge
-    when the box holds more than MAX_BOX_POINTS pairs.
+    Deterministic order (sorted tuples). Raises BoxTooLarge when the box
+    holds more than MAX_BOX_POINTS pairs.
     """
     x_rs, y_rs = instance.X.sq, instance.Y.sq
     _guard_box(ring, x_rs, y_rs)
-    n, t, a = instance.n, instance.t, instance.a
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def slice_for(y: Element) -> List[Tuple[Element, Element]]:
-            residue = ring.neg(ring.add(ring.scale(t, y), ring.embed_int(a)))
-            return [(x, y) for x in
-                    ring.elements_in_disk_congruent(x_rs, n, residue)]
-
-        ys = list(ring.elements_in_disk(y_rs))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = [pair for chunk in pool.map(slice_for, ys)
-                     for pair in chunk]
-    else:
-        pairs = list(_congruent_pairs(ring, n, t, a, x_rs, y_rs))
+    pairs = list(_congruent_pairs(ring, instance.n, instance.t, instance.a,
+                                  x_rs, y_rs))
     pairs.sort()
     return pairs
 

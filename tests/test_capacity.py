@@ -1,5 +1,8 @@
 """Capacity evaluation: closed-form lens values against the greedy Fekete
 oracle, the exact census segment bound, and the assembled global product."""
+import cmath
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,6 @@ from capclass.adelic import PAdicDisk, assemble
 from capclass.capacity import (
     CapacityReport,
     census_capacity_bound,
-    capacity_from_geometry,
     disk_boundary,
     fekete_oracle,
     finite_capacity,
@@ -16,7 +18,6 @@ from capclass.capacity import (
     global_capacity,
     lens_boundary,
     lens_capacity,
-    lens_geometry,
     lens_value,
     normalize_lens,
     oracle_for_lens,
@@ -80,6 +81,44 @@ def test_lens_monotone_in_radius():
     small = lens_capacity(1, Fraction(3, 4))
     large = lens_capacity(1, Fraction(5, 4))
     assert large.hi >= small.lo
+
+
+@dataclass(frozen=True)
+class LensGeometry:
+    """Float diagnostics of a genuine lens: the upper intersection point u,
+    the interior angle alpha at u, and the branch value zeta (|zeta| = 1)."""
+
+    u: complex
+    u_bar: complex
+    alpha: float
+    zeta: complex
+
+    @property
+    def exponent(self) -> float:
+        return math.pi / (2.0 * math.pi - self.alpha)
+
+
+def lens_geometry(r: float, s: float) -> LensGeometry:
+    """Independent float evaluation of the quantities the interval closed
+    form in capclass.capacity is built from."""
+    x0 = (1.0 + r * r - s * s) / 2.0
+    y0sq = r * r - x0 * x0
+    if y0sq <= 0.0:
+        raise ValueError("disks do not intersect transversally")
+    y0 = math.sqrt(y0sq)
+    u = complex(x0, y0)
+    cos_alpha = (1.0 - r * r - s * s) / (2.0 * r * s)
+    alpha = math.acos(max(-1.0, min(1.0, cos_alpha)))
+    m = math.pi / (2.0 * math.pi - alpha)
+    q = (u.conjugate() - r) / (u - r)
+    arg = cmath.phase(q) % (2.0 * math.pi)  # log branch with Im in [0, 2*pi)
+    zeta = cmath.exp(m * complex(math.log(abs(q)), arg))
+    return LensGeometry(u=u, u_bar=u.conjugate(), alpha=alpha, zeta=zeta)
+
+
+def capacity_from_geometry(geom: LensGeometry) -> float:
+    m = geom.exponent
+    return m * abs(geom.u_bar - geom.u) / (2.0 * geom.zeta.imag)
 
 
 def test_float_geometry_cross_check():

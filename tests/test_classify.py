@@ -1,9 +1,11 @@
 """Verdict thresholds, the full pipeline, and the hidden-number-problem
 certification chain, each checked against brute-force secret counts."""
+import inspect
 from fractions import Fraction
 
 import pytest
 
+import capclass
 from capclass.adelic import AdelicSet
 from capclass.capacity import CapacityReport
 from capclass.classify import (
@@ -23,6 +25,14 @@ from capclass.exact import SqrtRat
 from capclass.intervals import RealInterval
 from capclass.lattice import AuxiliaryLine
 from capclass.model import CongruenceInstance
+
+
+def test_package_namespace_keeps_classify_module():
+    namespace = {}
+    exec("from capclass import *", namespace)
+    assert inspect.ismodule(capclass.classify)
+    assert capclass.classify.classify is classify
+    assert "classify" not in namespace
 
 
 def _report(lo, hi):

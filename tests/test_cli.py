@@ -50,6 +50,12 @@ def test_analyze_instance_from_file(capsys, tmp_path):
     rc, out, _ = run(capsys, ["analyze", "--json", str(path)])
     assert rc == 0
     assert json.loads(out)["verdict"]["kind"] == "METHOD_CANNOT_SUCCEED"
+    # the instance object analyze prints reads back to the same output
+    path.write_text(json.dumps(json.loads(out)["instance"]))
+    rc, again, _ = run(capsys, ["analyze", "--json", str(path)])
+    assert rc == 0 and again == out
+    _, from_flags, _ = run(capsys, ["analyze", *CENSUS_FLAGS])
+    assert from_flags == out
 
 
 def test_analyze_line_not_found_guidance(capsys):
@@ -90,6 +96,13 @@ def test_hnp_inconclusive_exits_2(capsys):
                               "--d1", "11", "--n", "101", "--X", "30"])
     assert rc == 2
     assert json.loads(out)["status"] == "INCONCLUSIVE"
+    # a tiny box on a prime modulus trips the line-search node cap
+    rc, out, _ = run(capsys, ["hnp", "--n", "10000019", "--c0", "1", "--d0",
+                              "0", "--c1", "2", "--d1", "5", "--X", "1"])
+    assert rc == 2
+    payload = json.loads(out)
+    assert payload["status"] == "INCONCLUSIVE" and payload["pipeline"] is None
+    assert "nodes" in payload["reason"]
 
 
 def test_census_output_is_byte_deterministic(capsys):
@@ -165,12 +178,32 @@ def test_bound_command(capsys):
     assert payload["optimal_box"] == ["1/3", "1/9", "1/3"]
     rc, out, _ = run(capsys, ["bound", "--n", "100", "--X", "2", "--Y", "2"])
     assert json.loads(out)["feasible"] is False
+    # the criterion is X*Y < n/27, not (X*Y)^2: 36 < 1000/27
+    rc, out, _ = run(capsys, ["bound", "--n", "1000", "--X", "6", "--Y", "6"])
+    assert json.loads(out)["feasible"] is True
+
+
+def test_bound_rejects_zero_bounds(capsys):
+    for flag, other in (("--X", "--Y"), ("--Y", "--X")):
+        rc, out, err = run(capsys, ["bound", "--n", "1000", flag, "0",
+                                    other, "3"])
+        assert rc == 1 and out == ""
+        assert f"capclass: error: {flag} must be positive\n" in err
 
 
 def test_unknown_command_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+
+
+def test_threads_flag_is_gone(capsys):
+    for argv in (["analyze", *CENSUS_FLAGS], ["search", *CENSUS_FLAGS],
+                 ["census", "--p", "101", "--c", "1/2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", "2"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_no_command_prints_help(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from capclass.exact import SqrtRat
 from capclass.model import (CongruenceInstance, bound_token, feasible,
-                            minkowski_threshold, parse_bound, rational_field)
+                            minkowski_threshold, parse_bound)
 
 
 def test_instance_canonicalizes_residues():
@@ -34,16 +34,16 @@ def test_bound_token_roundtrip():
 
 
 def test_minkowski_threshold_rational_field():
-    fld = rational_field(1000)
-    assert minkowski_threshold(fld) == Fraction(1000, 27)
+    assert minkowski_threshold(1000) == Fraction(1000, 27)
 
 
 def test_feasible_margins():
-    ok, margin = feasible(CongruenceInstance(n=1000, t=7, a=3, X=6, Y=6))
+    six, seven = SqrtRat.of_rational(6), SqrtRat.of_rational(7)
+    ok, margin = feasible(1000, six, six)
     assert ok and margin == Fraction(1000, 27) - 36
-    ok, margin = feasible(CongruenceInstance(n=1000, t=7, a=3, X=7, Y=7))
+    ok, margin = feasible(1000, seven, seven)
     assert not ok and margin < 0
     # irrational box: X = Y = sqrt(101)/2 on n = 101 is infeasible (XY > n/27)
     b = SqrtRat(Fraction(101, 4))
-    ok, _ = feasible(CongruenceInstance(n=101, t=69, a=36, X=b, Y=b))
+    ok, _ = feasible(101, b, b)
     assert not ok

@@ -153,8 +153,3 @@ def test_ring_names_and_aliases():
     with pytest.raises(KeyError):
         ring_by_name("Z[sqrt(-5)]")
 
-
-def test_format():
-    assert RING_Z.format((5, 0)) == "5"
-    assert RING_GAUSS.format((1, -2)) == "1-2*i"
-    assert RING_OMEGA.format((0, 1)) == "1*omega"

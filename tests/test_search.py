@@ -58,11 +58,6 @@ def test_enumeration_matches_naive_loop():
                 (ring.name, n, t, a)
 
 
-def test_threads_do_not_change_result():
-    assert enumerate_solutions(CENSUS_INST, RING_GAUSS, threads=3) == \
-        enumerate_solutions(CENSUS_INST, RING_GAUSS)
-
-
 def test_line_vanishes_on_every_box_solution():
     # any admissible line takes integer values below 1 in absolute value on
     # box solutions, hence vanishes on all of them
