@@ -21,8 +21,8 @@ from .classify import (CertificationResult, CertificationStatus, HnpSamples,
                        hnp_reduce, homogeneous_dichotomy, run_pipeline)
 from .exact import QuadraticNumber, SqrtRat
 from .intervals import RealInterval, precision_bits
-from .lattice import (AuxiliaryLine, DegenerateLineSpace, LineNotFound,
-                      SearchSpaceTooLarge, find_auxiliary_line, verify_line)
+from .lattice import (AuxiliaryLine, LineNotFound, SearchSpaceTooLarge,
+                      find_auxiliary_line, verify_line)
 from .model import CongruenceInstance, feasible, minkowski_threshold
 from .rings import (ALL_RINGS, RING_GAUSS, RING_OMEGA, RING_SQRT_MINUS_2,
                     RING_Z, SearchRing, ring_by_name)
@@ -44,8 +44,8 @@ __all__ = [
     "count_secrets_by_enumeration", "hnp_reduce",
     "homogeneous_dichotomy", "run_pipeline",
     "QuadraticNumber", "SqrtRat", "RealInterval", "precision_bits",
-    "AuxiliaryLine", "DegenerateLineSpace", "LineNotFound",
-    "SearchSpaceTooLarge", "find_auxiliary_line", "verify_line",
+    "AuxiliaryLine", "LineNotFound", "SearchSpaceTooLarge",
+    "find_auxiliary_line", "verify_line",
     "CongruenceInstance", "feasible", "minkowski_threshold",
     "ALL_RINGS", "RING_GAUSS", "RING_OMEGA", "RING_SQRT_MINUS_2", "RING_Z",
     "SearchRing", "ring_by_name",

@@ -28,8 +28,7 @@ from .capacity import (CapacityReport, CensusBound, census_capacity_bound,
                        global_capacity)
 from .exact import (QuadraticNumber, SqrtRat, ceil_sqrt, floor_sqrt,
                     frac_token, invmod, is_prime)
-from .lattice import (AuxiliaryLine, DegenerateLineSpace, LineNotFound,
-                      find_auxiliary_line)
+from .lattice import AuxiliaryLine, LineNotFound, find_auxiliary_line
 from .model import CongruenceInstance
 
 # 97.5% normal quantile, for two-sided 95% Wilson intervals
@@ -214,7 +213,7 @@ def lambda_map(d1: int, d2: int, d3: int, p: int) -> Tuple[int, int]:
 def roundtrip_uniqueness(d1: int, d2: int, d3: int,
                          params: CensusParams) -> bool:
     """Run the lattice construction on the instance lambda(d1, d2, d3) and
-    compare its normalized output with the triple.
+    compare its line with the triple.
 
     For triples inside the window with z <= 3wc^2 the construction is
     guaranteed to return exactly this line; outside that hypothesis the
@@ -227,7 +226,7 @@ def roundtrip_uniqueness(d1: int, d2: int, d3: int,
                                   X=params.box_bound, Y=params.box_bound)
     try:
         line = find_auxiliary_line(instance)
-    except (LineNotFound, DegenerateLineSpace):
+    except LineNotFound:
         return True
     return (line.d1, line.d2, line.d3) == (d1, d2, d3)
 

@@ -12,8 +12,8 @@ from .adelic import AdelicSet, assemble
 from .capacity import CapacityReport, global_capacity
 from .exact import SqrtRat, invmod
 from .intervals import RealInterval
-from .lattice import (AuxiliaryLine, DegenerateLineSpace, LineNotFound,
-                      SearchSpaceTooLarge, find_auxiliary_line)
+from .lattice import (AuxiliaryLine, LineNotFound, SearchSpaceTooLarge,
+                      find_auxiliary_line)
 from .model import CongruenceInstance, bound_token
 
 
@@ -129,21 +129,17 @@ class HnpSamples:
                 "n": self.n, "X": bound_token(self.X)}
 
 
-def hnp_reduce(samples: HnpSamples) -> tuple[CongruenceInstance, CongruenceInstance]:
+def hnp_reduce(samples: HnpSamples) -> tuple[int, int]:
     """Eliminate the secret: with s = c0'(x0 + d0), the second sample reads
     x1 + t*x0 + a = 0 mod n with t = -c1*c0' and a = d1 - c1*c0'*d0.
 
-    Returns (inhomogeneous instance at half size, homogeneous certification
-    instance at full size); the pair of errors (x1, x0) plays (x, y).
+    Returns (t, a); the pair of errors (x1, x0) plays (x, y).
     """
     n = samples.n
     c0_inv = invmod(samples.c0, n)
     t = (-samples.c1 * c0_inv) % n
     a = (samples.d1 - samples.c1 * c0_inv * samples.d0) % n
-    half = samples.X / 2
-    inhomogeneous = CongruenceInstance(n=n, t=t, a=a, X=half, Y=half)
-    homogeneous = CongruenceInstance(n=n, t=t, a=0, X=samples.X, Y=samples.X)
-    return inhomogeneous, homogeneous
+    return t, a
 
 
 class CertificationStatus(str, Enum):
@@ -172,10 +168,12 @@ def certify_unique_secret(samples: HnpSamples) -> CertificationResult:
     strictly below 1 over the whole interval; anything else (including a
     failed line search) is INCONCLUSIVE, never a false certificate.
     """
-    _, homogeneous = hnp_reduce(samples)
+    t, _ = hnp_reduce(samples)
+    homogeneous = CongruenceInstance(n=samples.n, t=t, a=0, X=samples.X,
+                                     Y=samples.X)
     try:
         result = run_pipeline(homogeneous)
-    except (LineNotFound, DegenerateLineSpace, SearchSpaceTooLarge) as exc:
+    except (LineNotFound, SearchSpaceTooLarge) as exc:
         return CertificationResult(
             status=CertificationStatus.INCONCLUSIVE,
             reason=f"no auxiliary line: {exc}",

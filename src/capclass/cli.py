@@ -25,7 +25,7 @@ from .classify import (CertificationStatus, VerdictKind, HnpSamples,
                        certify_unique_secret, count_secrets_by_enumeration,
                        run_pipeline)
 from .exact import SqrtRat, frac_token
-from .lattice import DegenerateLineSpace, LineNotFound, SearchSpaceTooLarge
+from .lattice import LineNotFound, SearchSpaceTooLarge
 from .model import (CongruenceInstance, bound_token, feasible,
                     minkowski_threshold, parse_bound)
 from .rings import RING_ALIASES, RING_Z, ring_by_name
@@ -64,7 +64,11 @@ def _emit(args, payload: dict, text: str) -> None:
 def _instance_from_args(args) -> CongruenceInstance:
     if getattr(args, "json", None):
         with open(args.json) as fh:
-            return CongruenceInstance.from_json(json.load(fh))
+            obj = json.load(fh)
+        try:
+            return CongruenceInstance.from_json(obj)
+        except KeyError as exc:
+            raise ValueError(f"{args.json}: missing key {exc}") from None
     missing = [k for k in ("n", "t", "a", "X", "Y")
                if getattr(args, k) is None]
     if missing:
@@ -95,7 +99,7 @@ def cmd_analyze(args) -> int:
     instance = _instance_from_args(args)
     try:
         result = run_pipeline(instance)
-    except (LineNotFound, DegenerateLineSpace, SearchSpaceTooLarge) as exc:
+    except (LineNotFound, SearchSpaceTooLarge) as exc:
         ok, margin = feasible(instance.n, instance.X, instance.Y)
         payload = {
             "error": type(exc).__name__,
@@ -325,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[box_flags],
                        help="enumerate box solutions (newline-delimited JSON)")
-    p.add_argument("--ring", default="Z",
-                   help="one of: " + ", ".join(sorted(RING_ALIASES)))
+    p.add_argument("--ring", default="Z", choices=sorted(RING_ALIASES),
+                   help="ring to search over (default Z)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("capacity", parents=[fmt],

@@ -1,39 +1,30 @@
 """Construction of the first auxiliary line by exact lattice search.
 
-The relevant lattice in coefficient space is spanned by (1/n)(1, t, a),
-(0, 1, 0), (0, 0, 1); a line b1*x + b2*y + b3 qualifies when b1 != 0 and the
-coefficients clear the box (|b1| < dx, |b2| < dy, |b3| < dc). The search
-scales coordinates so the box becomes (nearly) the unit cube, LLL-reduces the
-scaled basis over the rationals, then enumerates every lattice point of the
-covering ball exactly and filters with exact inequalities. Floating point is
-never consulted, so results are reproducible bit for bit.
+A line (d1*x + d2*y + d3)/n qualifies when d1 != 0, d2 = t*d1 and
+d3 = a*d1 (mod n), and the coefficients clear the instance's box
+|d1| < n/(3X), |d2| < n/(3Y), |d3| < n/3. The integer vectors satisfying the
+congruences form the lattice spanned by (1, t, a), (0, n, 0), (0, 0, n).
+Under the inner product sum(e_k*f_k / R_k^2), with R_k the box radii, the box
+lies inside the ball of squared radius 3. The search LLL-reduces the basis
+under that inner product, enumerates every lattice point of the ball exactly
+and keeps the integer vectors that pass an integer box test. Floating point
+is never consulted, so results are reproducible bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .exact import (
-    SqrtRat,
-    ceil_shifted_sqrt,
-    floor_shifted_sqrt,
-    rational_sqrt_approx,
-)
+from .exact import ceil_shifted_sqrt, ceil_sqrt, floor_shifted_sqrt
 from .model import CongruenceInstance
 
 LLL_DELTA = Fraction(99, 100)
-_SCALE_BITS = 96
-_BALL_SLACK = Fraction(1, 1 << 60)
+_BALL = 3  # squared radius of the ball covering the box
 _MAX_NODES = 5_000_000
 
 
 class LineNotFound(Exception):
-    """The box contains no lattice vector with a nonzero leading coefficient."""
-
-
-class DegenerateLineSpace(Exception):
-    """Every nonzero lattice vector in the box has leading coefficient zero."""
+    """The box contains no nonzero lattice vector."""
 
 
 class SearchSpaceTooLarge(Exception):
@@ -41,41 +32,17 @@ class SearchSpaceTooLarge(Exception):
 
 
 @dataclass(frozen=True)
-class SearchBox:
-    """Open coefficient box |b1| < dx, |b2| < dy, |b3| < dc."""
-
-    dx: SqrtRat
-    dy: SqrtRat
-    dc: SqrtRat
-
-    def __post_init__(self):
-        for r in (self.dx, self.dy, self.dc):
-            if not isinstance(r, SqrtRat) or not r > 0:
-                raise ValueError("box radii must be positive SqrtRat values")
-
-    @classmethod
-    def optimal(cls, instance: CongruenceInstance) -> "SearchBox":
-        return cls(
-            dx=1 / (3 * instance.X),
-            dy=1 / (3 * instance.Y),
-            dc=SqrtRat.of_rational(Fraction(1, 3)),
-        )
-
-
-@dataclass(frozen=True)
 class AuxiliaryLine:
-    """Normalized line (d1*x + d2*y + d3)/n with d1 > 0.
+    """Line (d1*x + d2*y + d3)/n with d1 > 0.
 
-    q is the factor divided out of the raw lattice vector during
-    normalization (the largest divisor of gcd(e1, e2, e3) that keeps the
-    vector in the lattice; for prime n this is the full gcd).
+    The smallest in-box vector is primitive in the lattice: dividing it by a
+    common factor would give a smaller in-box lattice vector.
     """
 
     d1: int
     d2: int
     d3: int
     n: int
-    q: int = 1
 
     @property
     def b1(self) -> Fraction:
@@ -94,56 +61,63 @@ class AuxiliaryLine:
 
     def to_json(self) -> dict:
         return {"d1": str(self.d1), "d2": str(self.d2), "d3": str(self.d3),
-                "n": str(self.n), "q": str(self.q)}
+                "n": str(self.n)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "AuxiliaryLine":
         return cls(d1=int(obj["d1"]), d2=int(obj["d2"]), d3=int(obj["d3"]),
-                   n=int(obj["n"]), q=int(obj.get("q", 1)))
+                   n=int(obj["n"]))
 
 
-def build_lattice(instance: CongruenceInstance) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Basis of the coefficient lattice; covolume is 1/n."""
+def build_lattice(instance: CongruenceInstance) -> list[tuple[int, int, int]]:
+    """Integer basis of the line vectors; determinant n^2."""
     n, t, a = instance.n, instance.t, instance.a
-    return [
-        (Fraction(1, n), Fraction(t, n), Fraction(a, n)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    ]
+    return [(1, t, a), (0, n, 0), (0, 0, n)]
 
 
-def _dot(u, v) -> Fraction:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+def _box_radii_sq(instance: CongruenceInstance) -> tuple[Fraction, Fraction, Fraction]:
+    """R_k^2 for the box |e1| < n/(3X), |e2| < n/(3Y), |e3| < n/3."""
+    third_sq = Fraction(instance.n * instance.n, 9)
+    return third_sq / instance.X.sq, third_sq / instance.Y.sq, third_sq
 
 
-def _gram_schmidt(basis):
-    """Exact Gram-Schmidt: orthogonal rows, mu coefficients, squared norms."""
+def _box_limits(instance: CongruenceInstance) -> tuple[int, int, int]:
+    """Largest integers L_k < R_k, so |e_k| < R_k iff |e_k| <= L_k."""
+    return tuple(ceil_sqrt(r) - 1 for r in _box_radii_sq(instance))
+
+
+def _gram_schmidt(basis, weights):
+    """Exact Gram-Schmidt under sum(u_k*v_k*weights_k): mu and squared norms."""
+    def dot(u, v):
+        return u[0] * v[0] * weights[0] + u[1] * v[1] * weights[1] \
+            + u[2] * v[2] * weights[2]
+
     ortho, mu, norms = [], [[Fraction(0)] * 3 for _ in range(3)], []
     for i, b in enumerate(basis):
         w = list(b)
         for j in range(i):
             if norms[j] == 0:
                 raise ValueError("basis is singular")
-            mu[i][j] = _dot(b, ortho[j]) / norms[j]
+            mu[i][j] = dot(b, ortho[j]) / norms[j]
             for k in range(3):
                 w[k] -= mu[i][j] * ortho[j][k]
-        ortho.append(tuple(w))
-        norms.append(_dot(w, w))
-    return ortho, mu, norms
+        ortho.append(w)
+        norms.append(dot(w, w))
+    return mu, norms
 
 
-def lll_reduce(basis, delta: Fraction = LLL_DELTA):
-    """Exact-rational LLL on a rank-3 basis (rows of Fractions)."""
+def lll_reduce(basis, weights, delta: Fraction = LLL_DELTA):
+    """Exact LLL on a rank-3 integer basis under sum(u_k*v_k*weights_k)."""
     b = [list(row) for row in basis]
     k = 1
     while k < 3:
-        _, mu, norms = _gram_schmidt(b)
+        mu, norms = _gram_schmidt(b, weights)
         for j in range(k - 1, -1, -1):
             r = round(mu[k][j])
             if r != 0:
                 for c in range(3):
                     b[k][c] -= r * b[j][c]
-                _, mu, norms = _gram_schmidt(b)
+                mu, norms = _gram_schmidt(b, weights)
         if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
@@ -152,19 +126,9 @@ def lll_reduce(basis, delta: Fraction = LLL_DELTA):
     return [tuple(row) for row in b]
 
 
-def _scale_factor(radius: SqrtRat) -> Fraction:
-    """Exact 1/radius when rational, else a floor approximation of it."""
-    if radius.is_rational():
-        return 1 / radius.as_rational()
-    inv_sq = 1 / radius.sq
-    return rational_sqrt_approx(inv_sq, _SCALE_BITS)
-
-
-def _enumerate_ball(basis, bound: Fraction):
-    """All integer combinations z with ||z . basis||^2 <= bound (exact)."""
-    _, mu, norms = _gram_schmidt(basis)
-    if min(norms) <= 0:
-        raise ValueError("degenerate basis")
+def _enumerate_ball(basis, weights, bound):
+    """All nonzero integer combinations z with ||z . basis||^2 <= bound."""
+    mu, norms = _gram_schmidt(basis, weights)
     # rough node estimate to refuse hopeless searches
     est = 1.0
     for i in range(3):
@@ -174,11 +138,9 @@ def _enumerate_ball(basis, bound: Fraction):
             f"enumeration would visit about {est:.3g} nodes (cap {_MAX_NODES})")
 
     out = []
-    rem3 = bound
-    for z3 in range(ceil_shifted_sqrt(Fraction(0), rem3 / norms[2]),
-                    floor_shifted_sqrt(Fraction(0), rem3 / norms[2]) + 1):
-        t3 = Fraction(z3)
-        rem2 = rem3 - t3 * t3 * norms[2]
+    for z3 in range(ceil_shifted_sqrt(Fraction(0), bound / norms[2]),
+                    floor_shifted_sqrt(Fraction(0), bound / norms[2]) + 1):
+        rem2 = bound - z3 * z3 * norms[2]
         if rem2 < 0:
             continue
         c2 = mu[2][1] * z3
@@ -197,97 +159,45 @@ def _enumerate_ball(basis, bound: Fraction):
     return out
 
 
-def normalize_vector(e1: int, e2: int, e3: int, instance: CongruenceInstance):
-    """Divide out the largest gcd factor that keeps the vector in the lattice,
-    then fix the sign so the leading entry is positive. Returns (d1, d2, d3, q)."""
-    n, t, a = instance.n, instance.t, instance.a
-    if (e2 - t * e1) % n or (e3 - a * e1) % n:
-        raise ValueError("vector is not in the lattice")
-    m2 = (e2 - t * e1) // n
-    m3 = (e3 - a * e1) // n
-    q = gcd(gcd(abs(e1), abs(e2)), abs(e3))
-    q = gcd(q, gcd(abs(m2), abs(m3)))
-    if q == 0:
-        raise ValueError("zero vector")
-    d1, d2, d3 = e1 // q, e2 // q, e3 // q
-    if d1 < 0 or (d1 == 0 and (d2 < 0 or (d2 == 0 and d3 < 0))):
-        d1, d2, d3 = -d1, -d2, -d3
-    return d1, d2, d3, q
+def enumerate_admissible(instance: CongruenceInstance) -> list[tuple[int, int, int]]:
+    """Every lattice vector (e1, e2, e3) in the box with e1 > 0, each once,
+    sorted by (e1, |e2|, |e3|, e2, e3).
 
-
-def enumerate_admissible(instance: CongruenceInstance, box: SearchBox):
-    """Normalized lattice vectors inside the box, deduplicated; the leading
-    coefficient may be zero here (callers filter)."""
-    n = instance.n
-    factors = (_scale_factor(box.dx), _scale_factor(box.dy), _scale_factor(box.dc))
-    scaled = lll_reduce([
-        tuple(v * f for v, f in zip(bv, factors))
-        for bv in build_lattice(instance)
-    ])
-    # floor approximations keep the true box inside the unit cube, so a ball
-    # of squared radius 3 (plus a hair of slack) covers every admissible vector
-    bound = 3 * (1 + _BALL_SLACK)
-
-    seen = {}
-    for z1, z2, z3 in _enumerate_ball(scaled, bound):
-        e = _unscale(z1, z2, z3, scaled, factors, n)
-        if e is None:
+    No nonzero in-box vector has e1 = 0: it would need n | e2 with
+    |e2| < n/(3Y) < n and n | e3 with |e3| < n/3. The ball is symmetric, so
+    of each pair +-e exactly the one with e1 > 0 is kept.
+    """
+    weights = tuple(1 / r for r in _box_radii_sq(instance))
+    r0, r1, r2 = lll_reduce(build_lattice(instance), weights)
+    l1, l2, l3 = _box_limits(instance)
+    found = []
+    for z1, z2, z3 in _enumerate_ball((r0, r1, r2), weights, _BALL):
+        e1 = z1 * r0[0] + z2 * r1[0] + z3 * r2[0]
+        if not 0 < e1 <= l1:
             continue
-        e1, e2, e3 = e
-        if not _in_box(e1, e2, e3, n, box):
-            continue
-        d = normalize_vector(e1, e2, e3, instance)
-        key = d[:3]
-        prev = seen.get(key)
-        if prev is None or d[3] < prev.q:
-            seen[key] = AuxiliaryLine(d1=d[0], d2=d[1], d3=d[2], n=n, q=d[3])
-    return sorted(seen.values(), key=lambda L: (abs(L.d1), abs(L.d2), abs(L.d3), L.d2, L.d3))
+        e2 = z1 * r0[1] + z2 * r1[1] + z3 * r2[1]
+        e3 = z1 * r0[2] + z2 * r1[2] + z3 * r2[2]
+        if abs(e2) <= l2 and abs(e3) <= l3:
+            found.append((e1, e2, e3))
+    return sorted(found, key=lambda e: (e[0], abs(e[1]), abs(e[2]), e[1], e[2]))
 
 
-def _unscale(z1, z2, z3, scaled, factors, n):
-    coords = [z1 * scaled[0][k] + z2 * scaled[1][k] + z3 * scaled[2][k] for k in range(3)]
-    b = [coords[k] / factors[k] for k in range(3)]
-    e = [bk * n for bk in b]
-    for ek in e:
-        if ek.denominator != 1:
-            return None
-    return tuple(int(ek) for ek in e)
-
-
-def _in_box(e1: int, e2: int, e3: int, n: int, box: SearchBox) -> bool:
-    # |e_k / n| < radius  <=>  e_k^2 < n^2 * radius^2, exactly
-    nn = n * n
-    return (
-        Fraction(e1 * e1) < nn * box.dx.sq
-        and Fraction(e2 * e2) < nn * box.dy.sq
-        and Fraction(e3 * e3) < nn * box.dc.sq
-    )
-
-
-def find_auxiliary_line(instance: CongruenceInstance, box: SearchBox | None = None) -> AuxiliaryLine:
-    """Smallest admissible line in the box under the deterministic tie-break
-    (|d1|, |d2|, |d3|, d2, d3), after sign/gcd normalization."""
-    if box is None:
-        box = SearchBox.optimal(instance)
-    candidates = enumerate_admissible(instance, box)
-    if not candidates:
+def find_auxiliary_line(instance: CongruenceInstance) -> AuxiliaryLine:
+    """Smallest in-box line under (d1, |d2|, |d3|, d2, d3)."""
+    found = enumerate_admissible(instance)
+    if not found:
         raise LineNotFound(
             f"no nonzero lattice vector in box for n={instance.n}, t={instance.t}, a={instance.a}")
-    lines = [c for c in candidates if c.d1 != 0]
-    if not lines:
-        raise DegenerateLineSpace(
-            "every admissible vector has zero leading coefficient")
-    return lines[0]
+    d1, d2, d3 = found[0]
+    return AuxiliaryLine(d1=d1, d2=d2, d3=d3, n=instance.n)
 
 
-def verify_line(line: AuxiliaryLine, instance: CongruenceInstance,
-                box: SearchBox | None = None) -> bool:
+def verify_line(line: AuxiliaryLine, instance: CongruenceInstance) -> bool:
     """Exact re-check of the defining properties of an auxiliary line."""
-    if box is None:
-        box = SearchBox.optimal(instance)
     n, t, a = instance.n, instance.t, instance.a
     if line.n != n or line.d1 == 0:
         return False
     if (line.d2 - t * line.d1) % n or (line.d3 - a * line.d1) % n:
         return False
-    return _in_box(line.d1, line.d2, line.d3, n, box)
+    l1, l2, l3 = _box_limits(instance)
+    return abs(line.d1) <= l1 and abs(line.d2) <= l2 and abs(line.d3) <= l3

@@ -90,11 +90,11 @@ def test_run_pipeline_large_gamma():
 
 def test_hnp_reduce_worked_example():
     samples = HnpSamples(c0=3, d0=7, c1=5, d1=11, n=101, X=4)
-    inhomogeneous, homogeneous = hnp_reduce(samples)
-    assert (inhomogeneous.t, inhomogeneous.a) == (32, 33)
-    assert inhomogeneous.X.sq == inhomogeneous.Y.sq == 4  # half the budget
+    assert hnp_reduce(samples) == (32, 33)
+    # certification runs on the homogeneous instance at the full budget
+    homogeneous = certify_unique_secret(samples).pipeline.instance
     assert (homogeneous.t, homogeneous.a) == (32, 0)
-    assert homogeneous.X.sq == 16
+    assert homogeneous.X.sq == homogeneous.Y.sq == 16
 
 
 def test_hnp_samples_validation():

@@ -68,6 +68,16 @@ def test_analyze_line_not_found_guidance(capsys):
     assert payload["guidance"]["threshold"] == "101/27"
 
 
+def test_analyze_instance_file_missing_key(capsys, tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"n": 5}))
+    rc, out, err = run(capsys, ["analyze", "--json", str(path)])
+    assert rc == 1 and out == ""
+    errors = [row for row in err.splitlines() if row.startswith("capclass:")]
+    assert errors == [f"capclass: error: {path}: missing key 't'"]
+    assert "Traceback" not in err
+
+
 def test_analyze_missing_flags(capsys):
     rc, _, err = run(capsys, ["analyze", "--n", "101"])
     assert rc == 1
@@ -103,6 +113,14 @@ def test_hnp_inconclusive_exits_2(capsys):
     payload = json.loads(out)
     assert payload["status"] == "INCONCLUSIVE" and payload["pipeline"] is None
     assert "nodes" in payload["reason"]
+
+
+def test_hnp_small_budget_answers(capsys):
+    # only the homogeneous instance is built, so X <= 2/3 is accepted
+    rc, out, _ = run(capsys, ["hnp", "--n", "10007", "--c0", "3", "--d0", "5",
+                              "--c1", "7", "--d1", "11", "--X", "1/2"])
+    assert rc in (0, 2)
+    assert json.loads(out)["samples"]["X"] == "1/2"
 
 
 def test_census_output_is_byte_deterministic(capsys):
@@ -155,6 +173,13 @@ def test_search_other_ring(capsys):
     rc, out, _ = run(capsys, ["search", *CENSUS_FLAGS, "--ring", "gauss"])
     assert rc == 0
     assert len(out.splitlines()) == 2
+
+
+def test_search_unknown_ring_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", *CENSUS_FLAGS, "--ring", "foo"])
+    assert exc.value.code == 1
+    assert "argument --ring: invalid choice: 'foo'" in capsys.readouterr().err
 
 
 def test_capacity_command(capsys):

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from capclass.exact import SqrtRat
-from capclass.lattice import (AuxiliaryLine, DegenerateLineSpace, LineNotFound,
-                              SearchBox, build_lattice, enumerate_admissible,
-                              find_auxiliary_line, lll_reduce,
-                              normalize_vector, verify_line)
-from capclass.model import CongruenceInstance
+from capclass.exact import SqrtRat, floor_sqrt
+from capclass.lattice import (AuxiliaryLine, LineNotFound, build_lattice,
+                              enumerate_admissible, find_auxiliary_line,
+                              lll_reduce, verify_line)
+from capclass.model import CongruenceInstance, feasible
 
 from conftest import seeded_instance
 
@@ -18,11 +19,84 @@ def _det3(rows):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _limit(r_sq: Fraction) -> int:
+    """Largest integer e with e*e < r_sq."""
+    e = floor_sqrt(r_sq)
+    return e - 1 if e * e == r_sq else e
+
+
+def _representatives(value: int, n: int, limit: int) -> range:
+    """Every integer in [-limit, limit] congruent to value mod n."""
+    return range(-limit + (value + limit) % n, limit + 1, n)
+
+
+def _scan(inst):
+    """Brute-force oracle: every line vector in the box with e1 > 0, sorted
+    by (e1, |e2|, |e3|, e2, e3), plus the in-box (e2, e3) with e1 = 0."""
+    n, t, a = inst.n, inst.t, inst.a
+    third_sq = Fraction(n * n, 9)
+    l1 = _limit(third_sq / inst.X.sq)
+    l2 = _limit(third_sq / inst.Y.sq)
+    l3 = _limit(third_sq)
+    vectors = [(k, e2, e3) for k in range(1, l1 + 1)
+               for e2 in _representatives(t * k, n, l2)
+               for e3 in _representatives(a * k, n, l3)]
+    vectors.sort(key=lambda e: (e[0], abs(e[1]), abs(e[2]), e[1], e[2]))
+    zero_lead = [(e2, e3) for e2 in _representatives(0, n, l2)
+                 for e3 in _representatives(0, n, l3)]
+    return vectors, zero_lead
+
+
+@st.composite
+def _bounds(draw, n):
+    """X or Y >= 1/2: an integer, a rational or sqrt(n/k)."""
+    kind = draw(st.sampled_from(("integer", "rational", "sqrt")))
+    if kind == "integer":
+        return SqrtRat.of_rational(Fraction(draw(st.integers(1, 60))))
+    if kind == "rational":
+        q = draw(st.integers(1, 7))
+        return SqrtRat.of_rational(Fraction(draw(st.integers((q + 1) // 2, 300)), q))
+    return SqrtRat(Fraction(n, draw(st.integers(1, min(400, 4 * n)))))
+
+
+@st.composite
+def _small_instances(draw):
+    n = draw(st.integers(2, 5000))
+    t = draw(st.sampled_from([u for u in range(1, n) if gcd(u, n) == 1]))
+    a = draw(st.integers(0, n - 1))
+    return CongruenceInstance(n=n, t=t, a=a, X=draw(_bounds(n)),
+                              Y=draw(_bounds(n)))
+
+
+# deadline=None: the wall time of one example varies with the host's CPU speed
+@settings(deadline=None, max_examples=150)
+@given(_small_instances())
+def test_search_matches_brute_force_scan(inst):
+    vectors, zero_lead = _scan(inst)
+    inside = feasible(inst.n, inst.X, inst.Y)[0]
+    event(f"X*Y {'<' if inside else '>='} n/27, {'line' if vectors else 'no line'}")
+    assert enumerate_admissible(inst) == vectors
+    assert zero_lead == [(0, 0)]
+    if not vectors:
+        with pytest.raises(LineNotFound):
+            find_auxiliary_line(inst)
+        return
+    line = find_auxiliary_line(inst)
+    assert (line.d1, line.d2, line.d3, line.n) == (*vectors[0], inst.n)
+    assert verify_line(line, inst)
+    m2 = (line.d2 - inst.t * line.d1) // inst.n
+    m3 = (line.d3 - inst.a * line.d1) // inst.n
+    assert gcd(line.d1, line.d2, line.d3, m2, m3) == 1
+
+
 def test_lattice_covolume_is_one_over_n():
+    # determinant n^2 for the integer vectors e is covolume n^2/n^3 = 1/n
+    # for the coefficients b = e/n
     inst = CongruenceInstance(n=101, t=69, a=36, X=2, Y=2)
     basis = build_lattice(inst)
-    assert abs(_det3(basis)) == Fraction(1, 101)
-    assert abs(_det3(lll_reduce(basis))) == Fraction(1, 101)
+    w = Fraction(9, 101 ** 2)  # inverse squared box radii at X = Y = 2
+    assert abs(_det3(basis)) == 101 ** 2
+    assert abs(_det3(lll_reduce(basis, (4 * w, 4 * w, w)))) == 101 ** 2
 
 
 def test_worked_example_recovers_census_line():
@@ -31,9 +105,8 @@ def test_worked_example_recovers_census_line():
     line = find_auxiliary_line(inst)
     assert (line.d1, line.d2, line.d3, line.n) == (3, 5, 7, 101)
     assert verify_line(line, inst)
-    # basis of the raw lattice contains the instance vector scaled by 1/n
-    assert build_lattice(inst)[0] == (Fraction(1, 101), Fraction(69, 101),
-                                      Fraction(36, 101))
+    # the first basis row is the instance vector itself
+    assert build_lattice(inst)[0] == (1, 69, 36)
 
 
 def test_homogeneous_example():
@@ -43,50 +116,32 @@ def test_homogeneous_example():
     assert verify_line(line, inst)
 
 
-def test_normalize_vector():
-    inst = CongruenceInstance(n=12, t=5, a=0, X=1, Y=1)
-    assert normalize_vector(2, 10, 0, inst) == (1, 5, 0, 2)
-    # dividing (2, 10, 12) by its coordinate gcd 2 would leave the lattice:
-    # the halved triple (1, 5, 6) violates d3 = a*d1 mod 12
-    assert normalize_vector(2, 10, 12, inst) == (2, 10, 12, 1)
-    # sign fix: leading entry positive
-    assert normalize_vector(-2, -10, 0, inst)[:3] == (1, 5, 0)
-    with pytest.raises(ValueError):
-        normalize_vector(1, 6, 0, inst)  # not in the lattice
-
-
 def test_line_evaluation_and_json():
     line = AuxiliaryLine(d1=3, d2=5, d3=7, n=101)
     assert line.evaluate(-4, 1) == Fraction(0)
+    assert line.to_json() == {"d1": "3", "d2": "5", "d3": "7", "n": "101"}
     assert AuxiliaryLine.from_json(line.to_json()) == line
 
 
 def test_tiny_box_has_no_line():
-    inst = CongruenceInstance(n=101, t=69, a=36, X=2, Y=2)
-    tiny = SqrtRat.of_rational(Fraction(1, 1000))
+    inst = CongruenceInstance(n=101, t=69, a=36, X=8, Y=8)
     with pytest.raises(LineNotFound):
-        find_auxiliary_line(inst, SearchBox(dx=tiny, dy=tiny, dc=tiny))
-
-
-def test_degenerate_box_only_zero_leading_coefficient():
-    inst = CongruenceInstance(n=101, t=69, a=36, X=2, Y=2)
-    box = SearchBox(dx=SqrtRat.of_rational(Fraction(1, 1000)),
-                    dy=SqrtRat.of_rational(Fraction(3, 2)),
-                    dc=SqrtRat.of_rational(Fraction(3, 2)))
-    with pytest.raises(DegenerateLineSpace):
-        find_auxiliary_line(inst, box)
+        find_auxiliary_line(inst)
+    line = find_auxiliary_line(CongruenceInstance(n=101, t=69, a=36, X=6, Y=6))
+    assert (line.d1, line.d2, line.d3) == (3, 5, 7)
 
 
 def test_enumeration_respects_box_and_normalization():
     inst = CongruenceInstance(n=101, t=69, a=36, X=2, Y=2)
-    box = SearchBox.optimal(inst)
-    for cand in enumerate_admissible(inst, box):
-        assert (cand.d2 - inst.t * cand.d1) % inst.n == 0
-        assert (cand.d3 - inst.a * cand.d1) % inst.n == 0
-        assert Fraction(cand.d1 ** 2) < inst.n ** 2 * box.dx.sq
-        assert cand.d1 > 0 or (cand.d1 == 0 and (cand.d2, cand.d3) > (0, 0)) \
-            or (cand.d1 == 0 and cand.d2 == 0 and cand.d3 > 0) \
-            or (cand.d1 == 0 and cand.d2 > 0)
+    found = enumerate_admissible(inst)
+    assert found
+    for e1, e2, e3 in found:
+        assert (e2 - inst.t * e1) % inst.n == 0
+        assert (e3 - inst.a * e1) % inst.n == 0
+        assert 0 < e1 and 36 * e1 ** 2 < inst.n ** 2
+        assert 36 * e2 ** 2 < inst.n ** 2 and 9 * e3 ** 2 < inst.n ** 2
+    keys = [(e1, abs(e2), abs(e3), e2, e3) for e1, e2, e3 in found]
+    assert keys == sorted(keys) and len(set(found)) == len(found)
 
 
 def test_seeded_instances_find_and_verify():
@@ -106,6 +161,7 @@ def test_verify_line_rejects_garbage():
     inst = CongruenceInstance(n=101, t=69, a=36, X=2, Y=2)
     good = find_auxiliary_line(inst)
     assert not verify_line(AuxiliaryLine(d1=0, d2=101, d3=0, n=101), inst)
+    assert not verify_line(AuxiliaryLine(d1=0, d2=0, d3=0, n=101), inst)
     assert not verify_line(AuxiliaryLine(d1=good.d1, d2=good.d2 + 1,
                                          d3=good.d3, n=101), inst)
     assert not verify_line(AuxiliaryLine(d1=101, d2=69 * 101, d3=36 * 101,
