@@ -123,6 +123,8 @@ class HnpSamples:
             raise ValueError("c0 must be invertible mod n")
         if not isinstance(self.X, SqrtRat):
             object.__setattr__(self, "X", SqrtRat.of_rational(Fraction(self.X)))
+        if not self.X > Fraction(1, 3):
+            raise ValueError("X must exceed 1/3")
 
     def to_json(self) -> dict:
         return {"c0": self.c0, "d0": self.d0, "c1": self.c1, "d1": self.d1,

@@ -65,10 +65,15 @@ def _instance_from_args(args) -> CongruenceInstance:
     if getattr(args, "json", None):
         with open(args.json) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{args.json}: expected a JSON object, "
+                             f"got {type(obj).__name__}")
         try:
             return CongruenceInstance.from_json(obj)
         except KeyError as exc:
             raise ValueError(f"{args.json}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{args.json}: {exc}") from None
     missing = [k for k in ("n", "t", "a", "X", "Y")
                if getattr(args, k) is None]
     if missing:

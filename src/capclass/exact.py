@@ -14,43 +14,17 @@ RationalLike = Union[int, Fraction]
 
 
 def floor_sqrt(q: Fraction) -> int:
-    """Largest integer k with k*k <= q, for rational q >= 0."""
+    """Largest integer k with k*k <= q, for rational q >= 0; it equals
+    isqrt(floor(q)), since k*k <= q iff k*k <= floor(q)."""
     if q < 0:
         raise ValueError("negative radicand")
-    n, d = q.numerator, q.denominator
-    k = isqrt(n // d)
-    while (k + 1) * (k + 1) * d <= n:
-        k += 1
-    while k * k * d > n:
-        k -= 1
-    return k
+    return isqrt(q.numerator // q.denominator)
 
 
 def ceil_sqrt(q: Fraction) -> int:
     """Smallest integer k with k*k >= q, for rational q >= 0."""
     k = floor_sqrt(q)
     return k if Fraction(k * k) == q else k + 1
-
-
-def floor_shifted_sqrt(center: Fraction, rad: Fraction) -> int:
-    """floor(center + sqrt(rad)) computed exactly (rad >= 0)."""
-    if rad < 0:
-        raise ValueError("negative radicand")
-    k = int(center) + floor_sqrt(rad) + 2
-    # h <= center + sqrt(rad)  <=>  h - center <= sqrt(rad)
-    def ok(h: int) -> bool:
-        t = h - center
-        return t <= 0 or t * t <= rad
-    while not ok(k):
-        k -= 1
-    while ok(k + 1):
-        k += 1
-    return k
-
-
-def ceil_shifted_sqrt(center: Fraction, rad: Fraction) -> int:
-    """ceil(center - sqrt(rad)) computed exactly (rad >= 0)."""
-    return -floor_shifted_sqrt(-center, rad)
 
 
 def rational_sqrt_approx(q: Fraction, bits: int = 96) -> Fraction:

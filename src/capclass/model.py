@@ -87,6 +87,8 @@ def parse_bound(token) -> SqrtRat:
 def minkowski_threshold(n: int) -> Fraction:
     """The threshold n/27 that X*Y must stay below for an admissible line
     (Minkowski's bound for the rank-3 line lattice of covolume 1/n)."""
+    if n < 1:
+        raise ValueError("modulus must be >= 1")
     return Fraction(n, 27)
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from .exact import floor_sqrt
+
 Element = tuple[int, int]
 
 
@@ -94,7 +96,7 @@ class SearchRing:
             return
         # squared imaginary part of theta; 0 exactly for the plain integers
         im2 = Fraction(4 * self.c - self.b * self.b, 4)
-        vmax = 0 if im2 == 0 else _floor_sqrt_frac(radius_sq / im2)
+        vmax = 0 if im2 == 0 else floor_sqrt(radius_sq / im2)
         vfirst = -vmax + ((residue[1] + vmax) % modulus)
         for v in range(vfirst, vmax + 1, modulus):
             # u^2 + b u v + (c v^2 - R) <= 0: u in the root window around
@@ -102,7 +104,7 @@ class SearchRing:
             rem = radius_sq - im2 * v * v
             if rem < 0:
                 continue
-            half = _floor_sqrt_frac(rem)
+            half = floor_sqrt(rem)
             center = Fraction(-self.b * v, 2)
             lo = math.ceil(center) - half - 1
             hi = math.floor(center) + half + 1
@@ -115,12 +117,6 @@ class SearchRing:
 def _round_div(a: int, b: int) -> int:
     """Nearest integer to a/b (ties toward +infinity); b > 0."""
     return (2 * a + b) // (2 * b)
-
-
-def _floor_sqrt_frac(q: Fraction) -> int:
-    if q < 0:
-        raise ValueError("negative radicand")
-    return math.isqrt(q.numerator // q.denominator) if q >= 1 else 0
 
 
 RING_Z = SearchRing(name="Z", b=0, c=0)

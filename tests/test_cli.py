@@ -78,6 +78,19 @@ def test_analyze_instance_file_missing_key(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", json.dumps(
+    {"n": None, "t": 1, "a": 0, "X": 1, "Y": 1}), json.dumps(
+    {"n": "abc", "t": 1, "a": 0, "X": 1, "Y": 1})])
+def test_analyze_malformed_instance_file(capsys, tmp_path, content):
+    path = tmp_path / "instance.json"
+    path.write_text(content)
+    rc, out, err = run(capsys, ["analyze", "--json", str(path)])
+    assert rc == 1 and out == ""
+    errors = [row for row in err.splitlines() if row.startswith("capclass:")]
+    assert len(errors) == 1 and errors[0].startswith(f"capclass: error: {path}: ")
+    assert "Traceback" not in err
+
+
 def test_analyze_missing_flags(capsys):
     rc, _, err = run(capsys, ["analyze", "--n", "101"])
     assert rc == 1
@@ -121,6 +134,14 @@ def test_hnp_small_budget_answers(capsys):
                               "--c1", "7", "--d1", "11", "--X", "1/2"])
     assert rc in (0, 2)
     assert json.loads(out)["samples"]["X"] == "1/2"
+
+
+def test_hnp_too_small_budget_names_x(capsys):
+    rc, out, err = run(capsys, ["hnp", "--n", "10007", "--c0", "3", "--d0",
+                                "5", "--c1", "7", "--d1", "11", "--X", "1/3"])
+    assert rc == 1 and out == ""
+    errors = [row for row in err.splitlines() if row.startswith("capclass:")]
+    assert errors == ["capclass: error: X must exceed 1/3"]
 
 
 def test_census_output_is_byte_deterministic(capsys):
@@ -214,6 +235,14 @@ def test_bound_rejects_zero_bounds(capsys):
                                     other, "3"])
         assert rc == 1 and out == ""
         assert f"capclass: error: {flag} must be positive\n" in err
+
+
+@pytest.mark.parametrize("modulus", ["0", "-5"])
+def test_bound_rejects_nonpositive_modulus(capsys, modulus):
+    rc, out, err = run(capsys, ["bound", "--n", modulus, "--X", "1",
+                                "--Y", "1"])
+    assert rc == 1 and out == ""
+    assert "capclass: error: modulus must be >= 1\n" in err
 
 
 def test_unknown_command_exits_1(capsys):

@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from capclass.exact import (QuadraticNumber, SqrtRat, ceil_shifted_sqrt,
-                            ceil_sqrt, compare_sqrt_diff, compare_sqrt_sum,
-                            floor_shifted_sqrt, floor_sqrt, invmod, is_prime,
-                            padic_valuation, prime_factors,
+from capclass.exact import (QuadraticNumber, SqrtRat, ceil_sqrt,
+                            compare_sqrt_diff, compare_sqrt_sum, floor_sqrt,
+                            invmod, is_prime, padic_valuation, prime_factors,
                             rational_sqrt_approx)
 
 fractions_st = st.fractions(min_value=0, max_value=10**6, max_denominator=997)
@@ -19,17 +18,6 @@ def test_floor_ceil_sqrt_definition(q):
     assert f * f <= q < (f + 1) * (f + 1)
     c = ceil_sqrt(q)
     assert (c - 1) * (c - 1) < q <= c * c or (q == 0 and c == 0)
-
-
-@given(st.fractions(min_value=-1000, max_value=1000, max_denominator=64),
-       st.fractions(min_value=0, max_value=10**6, max_denominator=64))
-def test_shifted_sqrt_definition(center, rad):
-    f = floor_shifted_sqrt(center, rad)
-    # f <= center + sqrt(rad) < f + 1
-    assert (f - center) <= 0 or (f - center) ** 2 <= rad
-    assert (f + 1 - center) > 0 and (f + 1 - center) ** 2 > rad
-    c = ceil_shifted_sqrt(center, rad)
-    assert c == -floor_shifted_sqrt(-center, rad)
 
 
 def test_rational_sqrt_approx_accuracy():

@@ -7,8 +7,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from capclass.exact import SqrtRat, floor_sqrt
 from capclass.lattice import (AuxiliaryLine, LineNotFound, build_lattice,
-                              enumerate_admissible, find_auxiliary_line,
-                              lll_reduce, verify_line)
+                              find_auxiliary_line, lll_reduce, verify_line)
 from capclass.model import CongruenceInstance, feasible
 
 from conftest import seeded_instance
@@ -75,7 +74,6 @@ def test_search_matches_brute_force_scan(inst):
     vectors, zero_lead = _scan(inst)
     inside = feasible(inst.n, inst.X, inst.Y)[0]
     event(f"X*Y {'<' if inside else '>='} n/27, {'line' if vectors else 'no line'}")
-    assert enumerate_admissible(inst) == vectors
     assert zero_lead == [(0, 0)]
     if not vectors:
         with pytest.raises(LineNotFound):
@@ -94,9 +92,10 @@ def test_lattice_covolume_is_one_over_n():
     # for the coefficients b = e/n
     inst = CongruenceInstance(n=101, t=69, a=36, X=2, Y=2)
     basis = build_lattice(inst)
-    w = Fraction(9, 101 ** 2)  # inverse squared box radii at X = Y = 2
+    # inverse squared box radii 9*(X^2, Y^2, 1)/n^2 at X = Y = 2, scaled to
+    # integers
     assert abs(_det3(basis)) == 101 ** 2
-    assert abs(_det3(lll_reduce(basis, (4 * w, 4 * w, w)))) == 101 ** 2
+    assert abs(_det3(lll_reduce(basis, (4, 4, 1)))) == 101 ** 2
 
 
 def test_worked_example_recovers_census_line():
@@ -131,17 +130,13 @@ def test_tiny_box_has_no_line():
     assert (line.d1, line.d2, line.d3) == (3, 5, 7)
 
 
-def test_enumeration_respects_box_and_normalization():
-    inst = CongruenceInstance(n=101, t=69, a=36, X=2, Y=2)
-    found = enumerate_admissible(inst)
-    assert found
-    for e1, e2, e3 in found:
-        assert (e2 - inst.t * e1) % inst.n == 0
-        assert (e3 - inst.a * e1) % inst.n == 0
-        assert 0 < e1 and 36 * e1 ** 2 < inst.n ** 2
-        assert 36 * e2 ** 2 < inst.n ** 2 and 9 * e3 ** 2 < inst.n ** 2
-    keys = [(e1, abs(e2), abs(e3), e2, e3) for e1, e2, e3 in found]
-    assert keys == sorted(keys) and len(set(found)) == len(found)
+def test_eighteen_digit_modulus_with_short_instance_vector():
+    # the instance vector (1, t, a) is far shorter than the box, so the ball
+    # holds about a million of its multiples; the line is the vector itself
+    inst = CongruenceInstance(n=10**18 + 3, t=12345, a=678, X=10**8, Y=10**8)
+    line = find_auxiliary_line(inst)
+    assert (line.d1, line.d2, line.d3) == (1, 12345, 678)
+    assert verify_line(line, inst)
 
 
 def test_seeded_instances_find_and_verify():
