@@ -143,18 +143,6 @@ def local_set_at(instance: CongruenceInstance, line: AuxiliaryLine, p: int) -> P
     return acc
 
 
-def census_local_disk(line: AuxiliaryLine, p: int) -> PAdicDisk:
-    """Fast-path local disk D(-d3/d2, |d1|_p) valid for coprime (d1, d2)
-    census lines with prime modulus; used as a cross-check of local_set_at."""
-    d1_exp = _abs_exp(Fraction(line.d1), p)
-    if d1_exp is None:
-        raise ValueError("d1 must be nonzero")
-    if line.d2 % p == 0:
-        raise ValueError("fast path needs p coprime to d2")
-    return PAdicDisk(prime=p, center=Fraction(-line.d3, line.d2),
-                     radius_exp=min(d1_exp, 0))
-
-
 @dataclass(frozen=True)
 class ArchLens:
     """Real-place constraint set: D(0, Y) intersected with D(center, rho).
@@ -232,17 +220,19 @@ class AdelicSet:
         )
 
 
-def exceptional_primes(instance: CongruenceInstance, line: AuxiliaryLine) -> list[int]:
-    """Primes where the local set can differ from D(0, 1): divisors of d1,
-    d2 and n. Everywhere else the three conditions are automatic on D(0,1)."""
-    ps = set(prime_factors(line.d1)) | set(prime_factors(instance.n))
-    if line.d2 != 0:
-        ps |= set(prime_factors(line.d2))
-    return sorted(ps)
+def exceptional_primes(line: AuxiliaryLine) -> list[int]:
+    """Primes where the local set can differ from D(0, 1): the divisors of d1.
+
+    At p not dividing d1, on D(0, 1): |d2*y + d3|_p <= 1 = |d1|_p, and the
+    congruence term ((t*d1 - d2)*y + (a*d1 - d3))/d1 has numerator
+    coefficients that are multiples of n over the p-unit d1, so its
+    absolute value is at most |n|_p. Both conditions hold on all of D(0, 1).
+    """
+    return prime_factors(line.d1)
 
 
 def assemble(instance: CongruenceInstance, line: AuxiliaryLine) -> AdelicSet:
-    primes = exceptional_primes(instance, line)
+    primes = exceptional_primes(line)
     return AdelicSet(
         finite=tuple(local_set_at(instance, line, p) for p in primes),
         arch=arch_set(instance, line),

@@ -2,8 +2,9 @@
 
 Finite places contribute exact rational disk radii; the global finite part
 is their product. The archimedean place contributes the transfinite
-diameter of a two-disk lens, evaluated through a conformal-map closed form
-in interval arithmetic. A greedy Fekete-point estimator on a boundary
+diameter of a two-disk lens: when the set is a single disk, its radius,
+enclosed exactly with isqrt; otherwise a conformal-map closed form in mpmath
+interval arithmetic. A greedy Fekete-point estimator on a boundary
 discretization serves as an independent numerical cross-check.
 """
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .adelic import AdelicSet, ArchLens, PAdicDisk
 from .exact import (QuadraticNumber, SqrtRat, compare_sqrt_diff,
-                    compare_sqrt_sum, frac_token)
+                    compare_sqrt_sum, frac_token, rational_sqrt_approx)
 from .intervals import (RealInterval, ZERO_INTERVAL, iv_context,
                         iv_from_fraction, precision_bits)
 
@@ -45,9 +46,17 @@ def finite_product(disks: Sequence[PAdicDisk]) -> Fraction:
 
 
 def sqrtrat_interval(x: SqrtRat) -> RealInterval:
+    """Exact point when x is rational, else the isqrt enclosure
+    [lo, lo + 2**-k] of relative width below 2**-precision_bits()."""
     if x.is_rational():
         return RealInterval.point(x.as_rational())
-    return RealInterval.from_iv(iv_context().sqrt(iv_from_fraction(x.sq)))
+    q = x.sq
+    # q > 2**(e - 1), so sqrt(q) > 2**((e - 1) // 2) and a step 2**-k is at
+    # most 2**-(bits + 1) * sqrt(q), which keeps it below 2**-bits * lo
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    k = max(0, precision_bits() + 1 - (e - 1) // 2)
+    lo = rational_sqrt_approx(q, k)
+    return RealInterval(lo, lo + Fraction(1, 1 << k))
 
 
 @dataclass(frozen=True)
@@ -55,11 +64,11 @@ class NormalizedLens:
     """The lens written as xi * (D(0,r) /\\ D(1,s)).
 
     Centers here are real, so the rotation carrying the center-to-center
-    vector onto the positive axis is either 0 or a half turn.
+    vector onto the positive axis is either 0 or a half turn; neither
+    changes the capacity.
     """
 
     xi: Fraction            # positive scale |center|
-    half_turn: bool         # True when the original second center is negative
     r: SqrtRat
     s: SqrtRat
 
@@ -72,7 +81,6 @@ def normalize_lens(lens: ArchLens) -> NormalizedLens:
     xi = abs(lens.center)
     return NormalizedLens(
         xi=xi,
-        half_turn=lens.center < 0,
         r=lens.Y / SqrtRat.of_rational(xi),
         s=lens.rho / SqrtRat.of_rational(xi),
     )
@@ -347,7 +355,5 @@ def census_capacity_bound(d1: int, d2: int, d3: int, p: int,
 
 
 def _quadratic_interval(q: QuadraticNumber) -> RealInterval:
-    iv = iv_context()
-    val = iv_from_fraction(q.a) + iv_from_fraction(q.b) * iv.sqrt(
-        iv_from_fraction(q.m))
-    return RealInterval.from_iv(val)
+    root = sqrtrat_interval(SqrtRat(q.m)).scale(q.b)
+    return RealInterval(q.a + root.lo, q.a + root.hi)

@@ -113,10 +113,9 @@ def base_box(params: CensusParams) -> TripleBox:
 
 
 def chi_box(params: CensusParams, chi1: Tuple[Fraction, Fraction],
-            chi2: Tuple[Fraction, Fraction],
-            chi3: Optional[Tuple[Fraction, Fraction]] = None) -> TripleBox:
+            chi2: Tuple[Fraction, Fraction]) -> TripleBox:
     """Sub-window in normalized coordinates chi_i = d_i/(3c*sqrt(p)/2) for
-    i = 1, 2 and chi_3 = d3/p, intersected with the base window."""
+    i = 1, 2, intersected with the base window; d3 keeps its full range."""
     base = base_box(params)
     scale_sq = Fraction(9, 4) * params.c ** 2 * params.p  # (3c sqrt(p)/2)^2
 
@@ -127,16 +126,8 @@ def chi_box(params: CensusParams, chi1: Tuple[Fraction, Fraction],
         return (max(lo0, ceil_sqrt(lo * lo * scale_sq)),
                 min(hi0, floor_sqrt(hi * hi * scale_sq)))
 
-    d3 = base.d3
-    if chi3 is not None:
-        lo, hi = Fraction(chi3[0]), Fraction(chi3[1])
-        if not 0 <= lo <= hi:
-            raise ValueError(f"bad chi range {chi3}")
-        d3 = (max(d3[0], _ceil_frac(lo * params.p)),
-              min(d3[1], (hi * params.p).numerator
-                  // (hi * params.p).denominator))
     return TripleBox(d1=d_range(chi1, *base.d1), d2=d_range(chi2, *base.d2),
-                     d3=d3)
+                     d3=base.d3)
 
 
 def gamma_gt_one_box(params: CensusParams) -> TripleBox:

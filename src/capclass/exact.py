@@ -28,7 +28,8 @@ def ceil_sqrt(q: Fraction) -> int:
 
 
 def rational_sqrt_approx(q: Fraction, bits: int = 96) -> Fraction:
-    """Rational approximation of sqrt(q) with relative error below 2**-bits."""
+    """floor(sqrt(q) * 2**bits) / 2**bits: at most sqrt(q), with an absolute
+    error below 2**-bits (so a q below 4**-bits gives 0)."""
     if q < 0:
         raise ValueError("negative radicand")
     if q == 0:
@@ -101,12 +102,6 @@ class SqrtRat:
         if f <= 0:
             raise ValueError("divisor must be positive")
         return SqrtRat(self.sq / (f * f))
-
-    def __rtruediv__(self, other) -> "SqrtRat":
-        f = Fraction(other)
-        if f < 0:
-            raise ValueError("negative numerator would leave the nonnegative reals")
-        return SqrtRat(f * f / self.sq)
 
     def _cmp(self, other) -> int:
         """Sign of (self - other) against SqrtRat or rational."""
@@ -187,8 +182,9 @@ def compare_sqrt_diff(a: SqrtRat, b: SqrtRat, c: Fraction) -> int:
 
 class QuadraticNumber:
     """Exact element a + b*sqrt(m) of a real quadratic field, m a positive
-    nonsquare rational fixed per computation. Supports ring operations and
-    exact comparison, which is what the census interval endpoints need."""
+    nonsquare rational fixed per computation. Supports subtraction,
+    multiplication and exact comparison, which is what the census interval
+    endpoints need."""
 
     __slots__ = ("a", "b", "m")
 
@@ -206,18 +202,9 @@ class QuadraticNumber:
             return other
         return QuadraticNumber(Fraction(other), 0, self.m)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        return QuadraticNumber(self.a + o.a, self.b + o.b, self.m)
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         return QuadraticNumber(self.a - o.a, self.b - o.b, self.m)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -228,17 +215,6 @@ class QuadraticNumber:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        den = o.a * o.a - self.m * o.b * o.b
-        if den == 0:
-            raise ZeroDivisionError
-        inv = QuadraticNumber(o.a / den, -o.b / den, self.m)
-        return self * inv
-
-    def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.m)
 
     def sign(self) -> int:
         """Sign of a + b*sqrt(m), exactly."""
@@ -280,9 +256,6 @@ class QuadraticNumber:
 
     def __hash__(self):
         return hash((self.a, self.b, self.m))
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * float(rational_sqrt_approx(self.m, 64))
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.m}))"

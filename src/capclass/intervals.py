@@ -1,7 +1,8 @@
 """Directed-rounding real intervals with exact rational endpoints.
 
-Computations run in mpmath's interval context at a configurable binary
-precision (env var CAPCLASS_PRECISION_BITS, default 128). Results are frozen
+Enclosures are built at a configurable binary precision (env var
+CAPCLASS_PRECISION_BITS, default 128): square roots as isqrt enclosures,
+and the genuine-lens formula in mpmath's interval context. Results are frozen
 into RealInterval values whose endpoints are exact Fractions, so downstream
 decisions (compare against 1, serialize, multiply by exact rationals) never
 touch floating point.
@@ -90,9 +91,6 @@ class RealInterval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def __float__(self) -> float:
-        return float(self.mid)
 
     def to_json(self) -> dict:
         return {"lo": frac_token(self.lo), "hi": frac_token(self.hi)}

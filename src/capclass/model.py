@@ -60,12 +60,26 @@ class CongruenceInstance:
     def from_json(cls, obj: dict) -> "CongruenceInstance":
         """Inverse of to_json; keys other than n, t, a, X, Y are ignored."""
         return cls(
-            n=int(obj["n"]),
-            t=int(obj["t"]),
-            a=int(obj["a"]),
+            n=_json_int(obj, "n"),
+            t=_json_int(obj, "t"),
+            a=_json_int(obj, "a"),
             X=parse_bound(obj["X"]),
             Y=parse_bound(obj["Y"]),
         )
+
+
+def _json_int(obj: dict, key: str) -> int:
+    """obj[key] as an int: a JSON integer (not a bool) or an integer string;
+    a float is refused rather than truncated."""
+    value = obj[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def bound_token(b: SqrtRat) -> str:

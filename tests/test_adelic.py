@@ -1,12 +1,16 @@
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from capclass.adelic import (AdelicSet, ArchLens, PAdicDisk, arch_set,
-                             assemble, census_local_disk, exceptional_primes,
-                             local_set_at, padic_intersect)
-from capclass.exact import SqrtRat
-from capclass.lattice import AuxiliaryLine, find_auxiliary_line
+                             assemble, exceptional_primes, local_set_at,
+                             padic_intersect)
+from capclass.capacity import finite_capacity, finite_product
+from capclass.exact import SqrtRat, is_prime, padic_valuation, prime_factors
+from capclass.lattice import (AuxiliaryLine, LineNotFound, SearchSpaceTooLarge,
+                              find_auxiliary_line)
 from capclass.model import CongruenceInstance
 
 CENSUS_LINE = AuxiliaryLine(d1=3, d2=5, d3=7, n=101)
@@ -36,10 +40,28 @@ def test_padic_intersect_cases():
     assert got == shifted  # same class mod 1, smaller radius wins
 
 
+def census_local_disk(line: AuxiliaryLine, p: int) -> PAdicDisk:
+    """Fast-path local disk D(-d3/d2, |d1|_p), valid for census lines
+    (coprime d1, d2; prime modulus) at primes p not dividing d2."""
+    if line.d2 % p == 0:
+        raise ValueError("fast path needs p coprime to d2")
+    return PAdicDisk(prime=p, center=Fraction(-line.d3, line.d2),
+                     radius_exp=-padic_valuation(Fraction(line.d1), p))
+
+
+def old_exceptional_primes(instance, line) -> list[int]:
+    """Every prime of d1, d2 and n: the reference set for the differential
+    test below."""
+    ps = set(prime_factors(line.d1)) | set(prime_factors(instance.n))
+    if line.d2 != 0:
+        ps |= set(prime_factors(line.d2))
+    return sorted(ps)
+
+
 def test_census_fast_path_agreement():
     # the direct formula and the three-condition intersection must coincide
-    # at every exceptional prime where the formula applies (p not dividing d2)
-    for p in exceptional_primes(CENSUS_INST, CENSUS_LINE):
+    # at every prime of d1*d2*n where the formula applies (p not dividing d2)
+    for p in old_exceptional_primes(CENSUS_INST, CENSUS_LINE):
         if CENSUS_LINE.d2 % p == 0:
             continue
         direct = census_local_disk(CENSUS_LINE, p)
@@ -58,10 +80,12 @@ def test_local_set_values_for_worked_example():
 
 
 def test_exceptional_primes_cover_line_and_modulus():
-    assert exceptional_primes(CENSUS_INST, CENSUS_LINE) == [3, 5, 101]
+    # only the primes of d1: 5 | d2 and 101 = n give the unit disk
+    assert exceptional_primes(CENSUS_LINE) == [3]
     inst = CongruenceInstance(n=12, t=5, a=0, X=Fraction(3, 5), Y=Fraction(3, 5))
     line = find_auxiliary_line(inst)
-    assert exceptional_primes(inst, line) == [2, 3, 5]
+    assert exceptional_primes(line) == prime_factors(line.d1)
+    assert old_exceptional_primes(inst, line) == [2, 3, 5]
 
 
 def test_arch_set_shapes():
@@ -80,7 +104,7 @@ def test_arch_set_shapes():
 
 def test_assemble_and_json_roundtrip():
     adset = assemble(CENSUS_INST, CENSUS_LINE)
-    assert [d.prime for d in adset.finite] == [3, 5, 101]
+    assert [d.prime for d in adset.finite] == [3]
     again = AdelicSet.from_json(adset.to_json())
     assert again == adset
 
@@ -93,3 +117,68 @@ def test_assemble_and_json_roundtrip():
 def test_census_disk_needs_coprime_d2():
     with pytest.raises(ValueError):
         census_local_disk(AuxiliaryLine(d1=3, d2=6, d3=1, n=101), 3)
+
+
+@st.composite
+def _bound(draw, n):
+    """An integer, a rational or sqrt(n/k) bound above 1/3, from well inside
+    the box X*Y < n/27 to just past it."""
+    kind = draw(st.sampled_from(("integer", "rational", "sqrt")))
+    if kind == "integer":
+        return SqrtRat.of_rational(draw(st.integers(1, max(1, isqrt(n // 27)))))
+    if kind == "rational":
+        q = draw(st.integers(2, 9))
+        lo = q // 3 + 1
+        return SqrtRat.of_rational(Fraction(
+            draw(st.integers(lo, max(lo, q * isqrt(n // 27)))), q))
+    return SqrtRat(Fraction(n, draw(st.integers(20, 27 * 27))))
+
+
+@st.composite
+def _moduli(draw):
+    kind = draw(st.sampled_from(("prime", "prime power", "composite")))
+    if kind == "prime":
+        n = draw(st.integers(100, 10**6))
+        while not is_prime(n):
+            n += 1
+    elif kind == "prime power":
+        p = draw(st.sampled_from((2, 3, 5, 7, 101)))
+        n = p ** draw(st.integers(2, 20))
+        while n > 10**6:
+            n //= p
+        while n < 100:
+            n *= p
+    else:
+        n = draw(st.integers(10, 1000)) * draw(st.integers(10, 1000))
+    event(kind)
+    return n
+
+
+@st.composite
+def _instances(draw):
+    n = draw(_moduli())
+    t = draw(st.integers(1, n - 1))
+    while gcd(t, n) != 1:
+        t += 1
+    return CongruenceInstance(n=n, t=t, a=draw(st.integers(0, n - 1)),
+                              X=draw(_bound(n)), Y=draw(_bound(n)))
+
+
+# deadline=None: the wall time of one example varies with the host's CPU speed
+@settings(deadline=None, max_examples=400)
+@given(_instances())
+def test_primes_of_d1_give_the_old_finite_product(inst):
+    # differential against a scan over every prime of d1*d2*n; off the
+    # primes of d1 each local set must be the unit disk
+    try:
+        line = find_auxiliary_line(inst)
+    except (LineNotFound, SearchSpaceTooLarge):
+        event("refused")
+        return
+    old = Fraction(1)
+    for p in old_exceptional_primes(inst, line):
+        local = local_set_at(inst, line, p)
+        old *= finite_capacity(local)
+        if line.d1 % p:
+            assert local.same_disk(PAdicDisk(p, Fraction(0), 0)), (p, local)
+    assert finite_product(assemble(inst, line).finite) == old

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from capclass.adelic import PAdicDisk, assemble
 from capclass.capacity import (
@@ -25,6 +26,7 @@ from capclass.capacity import (
     sqrtrat_interval,
 )
 from capclass.exact import QuadraticNumber, SqrtRat
+from capclass.intervals import precision_bits
 from capclass.lattice import find_auxiliary_line
 from capclass.model import CongruenceInstance
 
@@ -199,6 +201,16 @@ def test_census_bound_worked_example():
     assert cb.bound_interval.lo <= Fraction(503, 1000) <= cb.bound_interval.hi * 2
 
 
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 400),
+       st.sampled_from((101, 10007, 1000003)))
+def test_census_bound_interval_encloses_bound(d1, d2, d3, p):
+    if math.gcd(d1, d2) != 1:
+        return
+    cb = census_capacity_bound(d1, d2, d3, p, HALF)
+    lo, hi = cb.bound_interval.lo, cb.bound_interval.hi
+    assert QuadraticNumber(lo, 0, p) <= cb.bound <= QuadraticNumber(hi, 0, p)
+
+
 def test_census_bound_zero_case():
     # d3 so large the strip misses the central square entirely
     cb = census_capacity_bound(2, 1, 301, 10007, HALF)
@@ -236,6 +248,15 @@ def test_finite_product_rules():
 def test_sqrtrat_interval_rational_point():
     iv = sqrtrat_interval(SqrtRat.of_rational(Fraction(3, 7)))
     assert iv.lo == iv.hi == Fraction(3, 7)
+
+
+@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(-54, 54))
+def test_sqrtrat_interval_is_a_tight_enclosure(num, den, e):
+    # q from 1e-60 to 1e60: an isqrt enclosure of relative width 2**-bits
+    q = Fraction(num, den) * Fraction(10) ** e
+    iv = sqrtrat_interval(SqrtRat(q))
+    assert 0 <= iv.lo and iv.lo ** 2 <= q <= iv.hi ** 2
+    assert iv.width * 2 ** precision_bits() <= iv.lo
 
 
 def test_global_capacity_concentric_instance():

@@ -1,9 +1,11 @@
 """Verdict thresholds, the full pipeline, and the hidden-number-problem
 certification chain, each checked against brute-force secret counts."""
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import capclass
 from capclass.adelic import AdelicSet
@@ -23,7 +25,8 @@ from capclass.classify import (
 )
 from capclass.exact import SqrtRat
 from capclass.intervals import RealInterval
-from capclass.lattice import AuxiliaryLine
+from capclass.lattice import (AuxiliaryLine, LineNotFound,
+                              SearchSpaceTooLarge)
 from capclass.model import CongruenceInstance
 
 
@@ -82,6 +85,37 @@ def test_run_pipeline_large_gamma():
     assert (result.line.d1, result.line.d2, result.line.d3) == (3, 5, 7)
     assert result.verdict.kind is VerdictKind.METHOD_CANNOT_SUCCEED
     assert result.verdict.gamma.lo > 1
+
+
+@st.composite
+def _bound(draw, n):
+    """sqrt(n/k) or a rational, above 1/3."""
+    if draw(st.booleans()):
+        return SqrtRat(Fraction(n, draw(st.integers(1, 9 * n - 1))))
+    return Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 2)))
+
+
+@st.composite
+def _small_instances(draw):
+    n = draw(st.integers(2, 3000))
+    t = draw(st.integers(1, n))
+    while math.gcd(t, n) != 1:
+        t += 1
+    return CongruenceInstance(n=n, t=t, a=draw(st.integers(0, n - 1)),
+                              X=draw(_bound(n)), Y=draw(_bound(n)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(_small_instances())
+def test_pipeline_reports_roundtrip_through_json(inst):
+    assert CongruenceInstance.from_json(inst.to_json()) == inst
+    try:
+        result = run_pipeline(inst)
+    except (LineNotFound, SearchSpaceTooLarge):
+        return
+    assert AuxiliaryLine.from_json(result.line.to_json()) == result.line
+    assert AdelicSet.from_json(result.adelic.to_json()) == result.adelic
+    assert CapacityReport.from_json(result.report.to_json()) == result.report
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,9 @@ def test_analyze_instance_file_missing_key(capsys, tmp_path):
 
 @pytest.mark.parametrize("content", ["[1, 2]", json.dumps(
     {"n": None, "t": 1, "a": 0, "X": 1, "Y": 1}), json.dumps(
-    {"n": "abc", "t": 1, "a": 0, "X": 1, "Y": 1})])
+    {"n": "abc", "t": 1, "a": 0, "X": 1, "Y": 1}), json.dumps(
+    {"n": 101.9, "t": 69, "a": 36, "X": 2, "Y": 2}), json.dumps(
+    {"n": 101, "t": True, "a": 36, "X": 2, "Y": 2})])
 def test_analyze_malformed_instance_file(capsys, tmp_path, content):
     path = tmp_path / "instance.json"
     path.write_text(content)
@@ -89,6 +91,15 @@ def test_analyze_malformed_instance_file(capsys, tmp_path, content):
     errors = [row for row in err.splitlines() if row.startswith("capclass:")]
     assert len(errors) == 1 and errors[0].startswith(f"capclass: error: {path}: ")
     assert "Traceback" not in err
+
+
+def test_eighteen_digit_prime_modulus_answers(capsys):
+    # only the primes of d1 are factored, never the prime modulus itself
+    rc, out, _ = run(capsys, ["analyze", "--n", "1000000000000000003",
+                              "--t", "12345", "--a", "678",
+                              "--X", "100000000", "--Y", "100000000"])
+    assert rc == 0
+    assert json.loads(out)["verdict"]["kind"] == "METHOD_CANNOT_SUCCEED"
 
 
 def test_analyze_missing_flags(capsys):

@@ -24,6 +24,15 @@ def test_rational_sqrt_approx_accuracy():
     q = Fraction(2)
     approx = rational_sqrt_approx(q, 80)
     assert abs(approx * approx - 2) < Fraction(1, 2**70)
+    # the error is absolute: a radicand below 4**-bits rounds to 0
+    assert rational_sqrt_approx(Fraction(1, 10**60), 96) == 0
+
+
+@given(st.fractions(min_value=0, max_value=10**40), st.integers(0, 200))
+def test_rational_sqrt_approx_absolute_error(q, bits):
+    approx = rational_sqrt_approx(q, bits)
+    step = Fraction(1, 2**bits)
+    assert approx * approx <= q < (approx + step) ** 2
 
 
 def test_sqrtrat_ordering_and_arithmetic():

@@ -23,6 +23,16 @@ def test_instance_validation():
         CongruenceInstance(n=0, t=1, a=0, X=1, Y=1)
 
 
+def test_instance_from_json_takes_only_integers():
+    spec = {"n": "101", "t": 69, "a": "-65", "X": 2, "Y": "sqrt(3)"}
+    inst = CongruenceInstance.from_json(spec)
+    assert (inst.n, inst.t, inst.a) == (101, 69, 36)
+    # a float is refused rather than truncated, and a bool is not an integer
+    for key, bad in (("n", 101.9), ("t", True), ("a", "1.5"), ("n", None)):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            CongruenceInstance.from_json({**spec, key: bad})
+
+
 def test_bound_token_roundtrip():
     for b in (SqrtRat.of_rational(Fraction(3, 5)), SqrtRat(101),
               SqrtRat(Fraction(101, 4)), SqrtRat.of_rational(2)):
