@@ -19,7 +19,7 @@ from .classify import (CertificationResult, CertificationStatus, HnpSamples,
                        PipelineResult, Verdict, VerdictKind,
                        certify_unique_secret, count_secrets_by_enumeration,
                        hnp_reduce, homogeneous_dichotomy, run_pipeline)
-from .exact import QuadraticNumber, SqrtRat
+from .exact import FactoringBudgetExceeded, QuadraticNumber, SqrtRat
 from .intervals import RealInterval, precision_bits
 from .lattice import (AuxiliaryLine, LineNotFound, SearchSpaceTooLarge,
                       find_auxiliary_line, verify_line)
@@ -43,7 +43,7 @@ __all__ = [
     "PipelineResult", "Verdict", "VerdictKind", "certify_unique_secret",
     "count_secrets_by_enumeration", "hnp_reduce",
     "homogeneous_dichotomy", "run_pipeline",
-    "QuadraticNumber", "SqrtRat", "RealInterval", "precision_bits",
+    "FactoringBudgetExceeded", "QuadraticNumber", "SqrtRat", "RealInterval", "precision_bits",
     "AuxiliaryLine", "LineNotFound", "SearchSpaceTooLarge",
     "find_auxiliary_line", "verify_line",
     "CongruenceInstance", "feasible", "minkowski_threshold",

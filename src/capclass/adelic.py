@@ -227,6 +227,7 @@ def exceptional_primes(line: AuxiliaryLine) -> list[int]:
     congruence term ((t*d1 - d2)*y + (a*d1 - d3))/d1 has numerator
     coefficients that are multiples of n over the p-unit d1, so its
     absolute value is at most |n|_p. Both conditions hold on all of D(0, 1).
+    Raises FactoringBudgetExceeded when d1 cannot be factored.
     """
     return prime_factors(line.d1)
 

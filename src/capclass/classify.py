@@ -10,7 +10,7 @@ from typing import Optional
 
 from .adelic import AdelicSet, assemble
 from .capacity import CapacityReport, global_capacity
-from .exact import SqrtRat, invmod
+from .exact import FactoringBudgetExceeded, SqrtRat, invmod
 from .intervals import RealInterval
 from .lattice import (AuxiliaryLine, LineNotFound, SearchSpaceTooLarge,
                       find_auxiliary_line)
@@ -168,7 +168,8 @@ def certify_unique_secret(samples: HnpSamples) -> CertificationResult:
 
     Sound but not complete: AT_MOST_ONE needs the homogeneous capacity
     strictly below 1 over the whole interval; anything else (including a
-    failed line search) is INCONCLUSIVE, never a false certificate.
+    failed line search or an unfactored d1) is INCONCLUSIVE, never a false
+    certificate.
     """
     t, _ = hnp_reduce(samples)
     homogeneous = CongruenceInstance(n=samples.n, t=t, a=0, X=samples.X,
@@ -179,6 +180,12 @@ def certify_unique_secret(samples: HnpSamples) -> CertificationResult:
         return CertificationResult(
             status=CertificationStatus.INCONCLUSIVE,
             reason=f"no auxiliary line: {exc}",
+            pipeline=None,
+        )
+    except FactoringBudgetExceeded as exc:
+        return CertificationResult(
+            status=CertificationStatus.INCONCLUSIVE,
+            reason=f"no adelic set: {exc}",
             pipeline=None,
         )
     if result.verdict.kind is VerdictKind.METHOD_CAN_SUCCEED:

@@ -5,9 +5,9 @@ certification), census (seeded proportion estimates), search (brute-force box
 enumeration, newline-delimited JSON), capacity (direct two-disk lens
 evaluation), bound (box feasibility calculator).
 
-Exit codes: 0 definite result, 2 boundary/inconclusive, 1 error. All JSON
-output is byte-deterministic for a fixed seed: keys sorted, numerics as
-exact strings, timing only on stderr.
+Exit codes: 0 definite result, 2 boundary/inconclusive or a refused
+factorization, 1 error. All JSON output is byte-deterministic for a fixed
+seed: keys sorted, numerics as exact strings, timing only on stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .census import (CensusParams, gamma_gt_one_box, gamma_zero_box,
 from .classify import (CertificationStatus, VerdictKind, HnpSamples,
                        certify_unique_secret, count_secrets_by_enumeration,
                        run_pipeline)
-from .exact import SqrtRat, frac_token
+from .exact import FactoringBudgetExceeded, SqrtRat, frac_token
 from .lattice import LineNotFound, SearchSpaceTooLarge
 from .model import (CongruenceInstance, bound_token, feasible,
                     minkowski_threshold, parse_bound)
@@ -209,9 +209,9 @@ def cmd_search(args) -> int:
     instance = _instance_from_args(args)
     ring = ring_by_name(args.ring)
     sols = enumerate_solutions(instance, ring)
-    for x, y in sols:
-        sys.stdout.write(json.dumps({"x": list(x), "y": list(y)},
-                                    sort_keys=True) + "\n")
+    # the elements are ints, so this is json.dumps(row, sort_keys=True)
+    sys.stdout.write("".join(f'{{"x": [{u}, {v}], "y": [{p}, {q}]}}\n'
+                             for (u, v), (p, q) in sols))
     zero = ((0, 0), (0, 0)) in sols
     sys.stderr.write(f"solutions: raw={len(sols)} "
                      f"nonzero={len(sols) - (1 if zero else 0)} "
@@ -370,6 +370,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError, BoxTooLarge) as exc:
         sys.stderr.write(f"capclass: error: {exc}\n")
         return 1
+    except FactoringBudgetExceeded as exc:
+        sys.stderr.write(f"capclass: refused: {exc}\n")
+        return 2
     finally:
         elapsed = (time.perf_counter() - started) * 1000.0
         sys.stderr.write(f"elapsed_ms={elapsed:.1f}\n")

@@ -277,9 +277,29 @@ def padic_valuation(x: Fraction, p: int) -> int:
     return v
 
 
+# trial division runs to this bound, which covers every d1 below 2**20
+_TRIAL_BOUND = 1 << 10
+# is_prime is a proof below this bound (Sorenson-Webster), a guess above it
+PROVEN_PRIME_BOUND = 3317044064679887385961981
+# Pollard rho iterations one prime_factors call may spend
+RHO_BUDGET = 1 << 20
+
+
+class FactoringBudgetExceeded(Exception):
+    """prime_factors gave up rather than guess a factorization."""
+
+
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n| by trial division (desk-scale inputs)."""
+    """Distinct prime factors of |n| (n != 0), ascending.
+
+    Trial division to _TRIAL_BOUND, then is_prime on what is left and
+    Pollard rho with Brent's cycle finding on composites, with RHO_BUDGET
+    iterations in all. Raises FactoringBudgetExceeded when the budget runs
+    out or a factor is a probable prime of PROVEN_PRIME_BOUND or more.
+    """
     n = abs(n)
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
     out = []
     for p in (2, 3):
         if n % p == 0:
@@ -287,24 +307,74 @@ def prime_factors(n: int) -> list[int]:
             while n % p == 0:
                 n //= p
     f = 5
-    while f * f <= n:
+    while f * f <= n and f < _TRIAL_BOUND:
         for p in (f, f + 2):
             if n % p == 0:
                 out.append(p)
                 while n % p == 0:
                     n //= p
         f += 6
-    if n > 1:
-        out.append(n)
-    return out
+    if f * f > n:
+        # no prime factor below f is left, so n is 1 or a prime
+        return out + [n] if n > 1 else out
+    large, todo, budget = set(), [n], RHO_BUDGET
+    while todo:
+        m = todo.pop()
+        if is_prime(m):
+            if m >= PROVEN_PRIME_BOUND:
+                raise FactoringBudgetExceeded(
+                    f"cannot factor {n}: {m} passes Miller-Rabin but is not "
+                    f"below the proven bound {PROVEN_PRIME_BOUND}")
+            large.add(m)
+            continue
+        d, budget = _rho_divisor(m, budget)
+        if d is None:
+            raise FactoringBudgetExceeded(
+                f"cannot factor {n}: Pollard rho budget of {RHO_BUDGET} "
+                f"iterations exhausted on {m}")
+        todo += [d, m // d]
+    return out + sorted(large)
 
 
-# witnesses proving primality for every n below 3.3e24 (Sorenson-Webster)
+def _rho_divisor(m: int, budget: int) -> tuple:
+    """(d, budget left) with d a proper divisor of the composite m, or
+    (None, 0) once budget iterations are spent (Brent 1980)."""
+    for c in range(1, m):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            budget -= 2 * r
+            if budget < 0:
+                return None, 0
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                k += 128
+                g = gcd(q, m)
+            r *= 2
+        if g == m:
+            # the batch overshot: replay it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(abs(x - ys), m)
+        if g != m:
+            return g, budget
+    return None, 0
+
+
+# witnesses proving primality for every n below PROVEN_PRIME_BOUND
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all inputs below 3.3e24."""
+    """Deterministic Miller-Rabin, exact for all inputs below
+    PROVEN_PRIME_BOUND (about 3.3e24)."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -8,12 +8,10 @@ gcds are computable by rounded division.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterator
-
-from .exact import floor_sqrt
 
 Element = tuple[int, int]
 
@@ -82,36 +80,43 @@ class SearchRing:
     def embed_int(self, k: int) -> Element:
         return (k, 0)
 
+    def disk_rows(self, radius_sq: Fraction) -> list[tuple[int, int, int]]:
+        """Exact integer rows (v, ulo, uhi) of the disk |u + v*theta|^2 <=
+        radius_sq = P/Q, for v = -vmax..vmax (row k has v = k - vmax; rows
+        with ulo > uhi are kept empty). A negative radius gives no rows.
+
+        With D = 4c - b^2 the norm condition reads
+        Q*(2u + b*v)^2 <= 4P - Q*D*v^2, so |2u + b*v| <= h with
+        h = isqrt((4P - Q*D*v^2) // Q), and |v| <= isqrt(4P // (Q*D)).
+        """
+        radius_sq = Fraction(radius_sq)
+        P, Q = radius_sq.numerator, radius_sq.denominator
+        if P < 0:
+            return []
+        b, D = self.b, 4 * self.c - self.b * self.b
+        vmax = 0 if D == 0 else isqrt(4 * P // (Q * D))
+        rows = []
+        for v in range(-vmax, vmax + 1):
+            h = isqrt((4 * P - Q * D * v * v) // Q)
+            rows.append((v, -((h + b * v) // 2), (h - b * v) // 2))
+        return rows
+
     def elements_in_disk(self, radius_sq: Fraction) -> Iterator[Element]:
         """All ring elements with |u + v*theta|^2 <= radius_sq, exactly."""
-        return self.elements_in_disk_congruent(radius_sq, 1, (0, 0))
+        return self.elements_in_disk_congruent(self.disk_rows(radius_sq), 1,
+                                               (0, 0))
 
-    def elements_in_disk_congruent(self, radius_sq: Fraction, modulus: int,
+    def elements_in_disk_congruent(self, rows: list[tuple[int, int, int]],
+                                   modulus: int,
                                    residue: Element) -> Iterator[Element]:
-        """Ring elements x with |x|^2 <= radius_sq and x = residue mod
-        modulus (both coordinates). Exact; windows over-cover by one and the
-        final norm comparison filters."""
-        radius_sq = Fraction(radius_sq)
-        if radius_sq < 0:
-            return
-        # squared imaginary part of theta; 0 exactly for the plain integers
-        im2 = Fraction(4 * self.c - self.b * self.b, 4)
-        vmax = 0 if im2 == 0 else floor_sqrt(radius_sq / im2)
-        vfirst = -vmax + ((residue[1] + vmax) % modulus)
-        for v in range(vfirst, vmax + 1, modulus):
-            # u^2 + b u v + (c v^2 - R) <= 0: u in the root window around
-            # -bv/2 with half-width sqrt(R - im2 v^2)
-            rem = radius_sq - im2 * v * v
-            if rem < 0:
-                continue
-            half = floor_sqrt(rem)
-            center = Fraction(-self.b * v, 2)
-            lo = math.ceil(center) - half - 1
-            hi = math.floor(center) + half + 1
-            ufirst = lo + ((residue[0] - lo) % modulus)
-            for u in range(ufirst, hi + 1, modulus):
-                if Fraction(self.norm((u, v))) <= radius_sq:
-                    yield (u, v)
+        """Elements of the disk given by disk_rows whose coordinates are
+        congruent to residue mod modulus, row by row."""
+        r0, r1 = residue
+        # row k holds v = k - vmax, and vmax = len(rows) // 2
+        for k in range((r1 + len(rows) // 2) % modulus, len(rows), modulus):
+            v, ulo, uhi = rows[k]
+            for u in range(ulo + (r0 - ulo) % modulus, uhi + 1, modulus):
+                yield (u, v)
 
 
 def _round_div(a: int, b: int) -> int:

@@ -17,7 +17,8 @@ from .model import CongruenceInstance
 from .rings import Element, SearchRing, RING_Z
 
 # hard cap on the *box* size (pairs of lattice points), not the work actually
-# done -- the residue-class stepping below visits roughly 1/n of the x side
+# done: a search walks the y-disk once and steps through the prebuilt x-disk
+# rows by residue class, so its work is the y-disk plus the hits
 MAX_BOX_POINTS = 10**8
 
 
@@ -26,8 +27,12 @@ class BoxTooLarge(ValueError):
 
 
 def _disk_points_estimate(ring: SearchRing, radius_sq: Fraction) -> float:
-    """Rough count of ring elements with |.|^2 <= radius_sq."""
-    r = math.sqrt(float(radius_sq)) if radius_sq > 0 else 0.0
+    """Rough count of ring elements with |.|^2 <= radius_sq; inf when the
+    radius is beyond the float range."""
+    try:
+        r = math.sqrt(radius_sq) if radius_sq > 0 else 0.0
+    except OverflowError:
+        return math.inf
     if ring.b == 0 and ring.c == 0:
         return 2.0 * r + 1.0
     covol = math.sqrt(float(Fraction(4 * ring.c - ring.b * ring.b, 4)))
@@ -54,10 +59,11 @@ def _congruent_pairs(ring: SearchRing, n: int, t: int, a: int,
                      y_radius_sq: Fraction) -> Iterator[Tuple[Element, Element]]:
     """All (x, y) in the closed box with x + t*y + a = 0 mod n (both
     coordinates of the congruence, since n acts diagonally on the ring)."""
-    a_elt = ring.embed_int(a)
+    x_rows = ring.disk_rows(x_radius_sq)
     for y in ring.elements_in_disk(y_radius_sq):
-        residue = ring.neg(ring.add(ring.scale(t, y), a_elt))
-        for x in ring.elements_in_disk_congruent(x_radius_sq, n, residue):
+        yu, yv = y
+        for x in ring.elements_in_disk_congruent(x_rows, n,
+                                                 (-t * yu - a, -t * yv)):
             yield x, y
 
 

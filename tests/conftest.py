@@ -41,12 +41,26 @@ def seeded_instance(rng: random.Random, n_lo: int, n_hi: int,
     return CongruenceInstance(n=n, t=t, a=a, X=side, Y=side)
 
 
+def brute_disk(ring, radius_sq):
+    """Ring elements of norm <= radius_sq, sorted: a scan of the square
+    |u|, |v| <= 2*(isqrt(floor(radius_sq)) + 2), which holds the disk of
+    every search ring, with an exact integer norm test."""
+    radius_sq = Fraction(radius_sq)
+    if radius_sq < 0:
+        return []
+    reach = 2 * (math.isqrt(math.floor(radius_sq)) + 2)
+    vs = [0] if ring.c == 0 else range(-reach, reach + 1)
+    p, q = radius_sq.numerator, radius_sq.denominator
+    return sorted((u, v) for v in vs for u in range(-reach, reach + 1)
+                  if q * ring.norm((u, v)) <= p)
+
+
 def naive_pairs(ring, n: int, t: int, a: int, x_sq, y_sq):
     """Reference double loop for box solutions of x + t*y + a = 0 mod n."""
-    x_sq, y_sq = Fraction(x_sq), Fraction(y_sq)
+    xs = brute_disk(ring, x_sq)
     out = set()
-    for y in ring.elements_in_disk(y_sq):
-        for x in ring.elements_in_disk(x_sq):
+    for y in brute_disk(ring, y_sq):
+        for x in xs:
             lhs = ring.add(x, ring.add(ring.scale(t, y), ring.embed_int(a)))
             if lhs[0] % n == 0 and lhs[1] % n == 0:
                 out.add((x, y))

@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, JSON payload shapes, determinism,
 and the text renderings, all exercised in process."""
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
+from capclass import adelic, exact
 from capclass.adelic import AdelicSet
 from capclass.capacity import CapacityReport
 from capclass.cli import main
+from capclass.exact import FactoringBudgetExceeded
 from capclass.lattice import AuxiliaryLine
 
 CENSUS_FLAGS = ["--n", "101", "--t", "69", "--a", "36",
@@ -100,6 +103,46 @@ def test_eighteen_digit_prime_modulus_answers(capsys):
                               "--X", "100000000", "--Y", "100000000"])
     assert rc == 0
     assert json.loads(out)["verdict"]["kind"] == "METHOD_CANNOT_SUCCEED"
+
+
+FORTY_DIGITS = ["analyze", "--n", "10000000000000000000000000000000000000121",
+                "--t", "16180339887498948482045868343",
+                "--a", "271828182845904523536",
+                "--X", "10000000000000000000", "--Y", "10000000000000000000"]
+
+
+def test_forty_digit_modulus_factors_d1_quickly(capsys):
+    # d1 = 5 * 11 * 200497350196808933: trial division leaves a prime
+    # cofactor that is_prime proves at once
+    started = time.perf_counter()
+    rc, out, _ = run(capsys, FORTY_DIGITS)
+    assert time.perf_counter() - started < 2
+    assert rc == 0
+    finite = json.loads(out)["adelic"]["finite"]
+    assert [d["p"] for d in finite] == [5, 11, 200497350196808933]
+
+
+def test_unfactored_d1_is_refused(capsys, monkeypatch):
+    # without a primality proof for the cofactor the run refuses, exit 2
+    monkeypatch.setattr(exact, "PROVEN_PRIME_BOUND", 10**12)
+    rc, out, err = run(capsys, FORTY_DIGITS)
+    assert rc == 2 and out == ""
+    assert "capclass: refused: cannot factor 200497350196808933" in err
+    assert "proven bound 1000000000000" in err
+    assert "Traceback" not in err
+
+
+def test_hnp_unfactored_d1_is_inconclusive(capsys, monkeypatch):
+    def refuse(d1):
+        raise FactoringBudgetExceeded(f"cannot factor {d1}: budget")
+
+    monkeypatch.setattr(adelic, "prime_factors", refuse)
+    rc, out, _ = run(capsys, ["hnp", "--c0", "3", "--d0", "7", "--c1", "5",
+                              "--d1", "11", "--n", "101", "--X", "4"])
+    assert rc == 2
+    payload = json.loads(out)
+    assert payload["status"] == "INCONCLUSIVE" and payload["pipeline"] is None
+    assert payload["reason"].startswith("no adelic set: cannot factor")
 
 
 def test_analyze_missing_flags(capsys):
@@ -205,6 +248,16 @@ def test_search_other_ring(capsys):
     rc, out, _ = run(capsys, ["search", *CENSUS_FLAGS, "--ring", "gauss"])
     assert rc == 0
     assert len(out.splitlines()) == 2
+
+
+def test_search_box_beyond_float_range_is_refused(capsys):
+    rc, out, err = run(capsys, ["search", "--n", "7", "--t", "3", "--a", "1",
+                                "--X", "1e-300", "--Y", "1e300"])
+    assert rc == 1 and out == ""
+    errors = [row for row in err.splitlines() if row.startswith("capclass:")]
+    assert errors == ["capclass: error: search box has ~inf point pairs "
+                      "in Z (limit 1e+08)"]
+    assert "Traceback" not in err
 
 
 def test_search_unknown_ring_is_a_usage_error(capsys):

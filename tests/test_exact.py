@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from capclass.exact import (QuadraticNumber, SqrtRat, ceil_sqrt,
+from capclass import exact
+from capclass.exact import (FactoringBudgetExceeded, QuadraticNumber, SqrtRat, ceil_sqrt,
                             compare_sqrt_diff, compare_sqrt_sum, floor_sqrt,
                             invmod, is_prime, padic_valuation, prime_factors,
                             rational_sqrt_approx)
@@ -95,6 +96,53 @@ def test_prime_factors_and_invmod():
     assert invmod(3, 101) == 34
     with pytest.raises(ValueError):
         invmod(4, 12)
+
+
+def _trial_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+# primes just past the trial-division bound: their products below 1e7 go
+# through is_prime and Pollard rho
+_MID_PRIMES = [p for p in range(1025, 3163) if is_prime(p)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(1, 10**7 - 1),
+                 st.builds(lambda p, q, m: p * q * m,
+                           st.sampled_from(_MID_PRIMES),
+                           st.sampled_from(_MID_PRIMES),
+                           st.integers(1, 9))))
+def test_prime_factors_matches_trial_division(n):
+    assert prime_factors(n) == _trial_factors(n)
+
+
+def test_prime_factors_splits_large_semiprimes():
+    p, q = 10000000019, 10000000033
+    assert is_prime(p) and is_prime(q)
+    assert prime_factors(p * q) == [p, q]
+    assert prime_factors(-12 * p * q * q) == [2, 3, p, q]
+    # d1 of the 40-digit analyze instance: a prime cofactor near 2e17
+    assert prime_factors(11027354260824491315) == [5, 11, 200497350196808933]
+    with pytest.raises(ValueError):
+        prime_factors(0)
+
+
+def test_prime_factors_refuses_rather_than_guess(monkeypatch):
+    # a probable prime past the proven Miller-Rabin bound
+    with pytest.raises(FactoringBudgetExceeded, match="proven bound"):
+        prime_factors(3 * (2**89 - 1))
+    monkeypatch.setattr(exact, "RHO_BUDGET", 1000)
+    with pytest.raises(FactoringBudgetExceeded, match="rho budget of 1000"):
+        prime_factors(10000000019 * 10000000033)
+    assert prime_factors(1031 * 1033) == [1031, 1033]
 
 
 def test_is_prime_matches_trial_division():

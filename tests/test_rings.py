@@ -5,6 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import brute_disk
 
 from capclass.rings import (
     ALL_RINGS,
@@ -22,14 +25,6 @@ def _elements(ring, rng, span=20):
         u = rng.randint(-span, span)
         v = 0 if ring is RING_Z else rng.randint(-span, span)
         yield (u, v)
-
-
-def _brute_disk(ring, radius_sq):
-    radius_sq = Fraction(radius_sq)
-    reach = math.isqrt(int(radius_sq)) + 2
-    vs = [0] if ring is RING_Z else range(-2 * reach, 2 * reach + 1)
-    return sorted((u, v) for v in vs for u in range(-2 * reach, 2 * reach + 1)
-                  if ring.norm((u, v)) <= radius_sq)
 
 
 def test_theta_squared_identities():
@@ -129,20 +124,62 @@ def test_disk_enumeration_matches_brute_force():
         for radius_sq in (Fraction(0), Fraction(1, 2), Fraction(7),
                           Fraction(101, 4), Fraction(30)):
             got = sorted(ring.elements_in_disk(radius_sq))
-            assert got == _brute_disk(ring, radius_sq), (ring.name, radius_sq)
+            assert got == brute_disk(ring, radius_sq), (ring.name, radius_sq)
 
 
 def test_congruent_disk_enumeration():
+    rows = {ring: ring.disk_rows(Fraction(30)) for ring in ALL_RINGS}
     for ring in ALL_RINGS:
         for modulus, residue in ((2, (1, 0)), (3, (1, 2)), (5, (0, 4))):
             if ring is RING_Z:
                 residue = (residue[0], 0)
-            got = sorted(ring.elements_in_disk_congruent(Fraction(30), modulus,
+            got = sorted(ring.elements_in_disk_congruent(rows[ring], modulus,
                                                          residue))
-            want = [x for x in _brute_disk(ring, Fraction(30))
+            want = [x for x in brute_disk(ring, Fraction(30))
                     if (x[0] - residue[0]) % modulus == 0
                     and (x[1] - residue[1]) % modulus == 0]
             assert got == want, (ring.name, modulus, residue)
+
+
+def test_disk_rows_shape():
+    # row k is v = k - vmax, empty rows kept: Z[omega] at radius 3/4 has
+    # rows v = -1, 0, 1 with only the middle one nonempty
+    assert RING_OMEGA.disk_rows(Fraction(3, 4)) == [(-1, 1, 0), (0, 0, 0),
+                                                    (1, 0, -1)]
+    assert RING_GAUSS.disk_rows(Fraction(2)) == [(-1, -1, 1), (0, -1, 1),
+                                                 (1, -1, 1)]
+    assert RING_Z.disk_rows(Fraction(9, 4)) == [(0, -1, 1)]
+    assert RING_GAUSS.disk_rows(Fraction(0)) == [(0, 0, 0)]
+    assert RING_GAUSS.disk_rows(Fraction(-1, 3)) == []
+
+
+_radii = st.builds(Fraction, st.integers(-20, 300), st.integers(1, 9))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(ALL_RINGS), _radii)
+def test_disk_rows_match_square_scan(ring, radius_sq):
+    want = brute_disk(ring, radius_sq)
+    rows = ring.disk_rows(radius_sq)
+    assert sorted((u, v) for v, lo, hi in rows
+                  for u in range(lo, hi + 1)) == want
+    assert (len(rows) % 2 == 1) == (radius_sq >= 0)
+    assert [v for v, _, _ in rows] == [k - len(rows) // 2
+                                       for k in range(len(rows))]
+    assert sorted(ring.elements_in_disk(radius_sq)) == want
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(ALL_RINGS), _radii, st.integers(1, 12),
+       st.tuples(st.integers(-60, 60), st.integers(-60, 60)))
+def test_congruent_rows_match_square_scan(ring, radius_sq, modulus, residue):
+    got = list(ring.elements_in_disk_congruent(ring.disk_rows(radius_sq),
+                                               modulus, residue))
+    want = [x for x in brute_disk(ring, radius_sq)
+            if (x[0] - residue[0]) % modulus == 0
+            and (x[1] - residue[1]) % modulus == 0]
+    assert sorted(got) == want
+    assert len(got) == len(set(got))
 
 
 def test_ring_names_and_aliases():

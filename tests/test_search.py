@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import naive_pairs, random_unit, seeded_instance
 
@@ -56,6 +57,33 @@ def test_enumeration_matches_naive_loop():
             got = set(enumerate_solutions(inst, ring))
             assert got == naive_pairs(ring, n, t, a, x_sq, y_sq), \
                 (ring.name, n, t, a)
+
+
+@st.composite
+def _bounds(draw):
+    """A rational bound p/q or sqrt(p/q), above 1/3, of norm at most 40."""
+    q = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        return SqrtRat.of_rational(Fraction(draw(st.integers(q // 3 + 1, 6 * q)), q))
+    return SqrtRat(Fraction(draw(st.integers(q // 9 + 1, 40 * q)), q))
+
+
+@st.composite
+def _rational_box_instances(draw):
+    n = draw(st.integers(1, 150))
+    t = draw(st.sampled_from([u for u in range(n) if math.gcd(u, n) == 1]))
+    a = draw(st.integers(-n, 2 * n))
+    return CongruenceInstance(n=n, t=t, a=a, X=draw(_bounds()),
+                              Y=draw(_bounds()))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(ALL_RINGS), _rational_box_instances())
+def test_enumeration_matches_naive_loop_on_rational_boxes(ring, inst):
+    got = enumerate_solutions(inst, ring)
+    assert got == sorted(got) and len(got) == len(set(got))
+    assert set(got) == naive_pairs(ring, inst.n, inst.t, inst.a,
+                                   inst.X.sq, inst.Y.sq)
 
 
 def test_line_vanishes_on_every_box_solution():
